@@ -64,9 +64,9 @@ enum class EngineKind {
 /// \brief Streaming convex-hull summary interface.
 ///
 /// Implementations are thread-compatible (no internal synchronization;
-/// StaticAdaptiveHull's lazily-rebuilt cache is the documented exception —
-/// its const accessors are not safe to call concurrently) and single-pass:
-/// points not retained as samples are forgotten.
+/// WindowedHullEngine's lazily-rebuilt merge cache is the documented
+/// exception — its const accessors are not safe to call concurrently) and
+/// single-pass: points not retained as samples are forgotten.
 class HullEngine {
  public:
   virtual ~HullEngine() = default;
@@ -86,10 +86,10 @@ class HullEngine {
   }
 
   /// \brief Cache hint before a burst of queries: engines with deferred
-  /// internal caches (StaticAdaptiveHull) rebuild them now so subsequent
-  /// const accessors serve the cache instead of recomputing. Never changes
-  /// observable summary state; counts as a mutator for the
-  /// thread-compatibility contract. Default: no-op.
+  /// internal caches (StaticAdaptiveHull, WindowedHullEngine) rebuild them
+  /// now so subsequent const accessors serve the cache instead of
+  /// recomputing. Never changes observable summary state; counts as a
+  /// mutator for the thread-compatibility contract. Default: no-op.
   virtual void Seal() {}
 
   /// \brief Capacity hint: about \p expected_points more points are coming.

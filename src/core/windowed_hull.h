@@ -63,10 +63,10 @@ namespace streamhull {
 /// upper bound that counts the straddling bucket whole) and can stall or
 /// shrink; the wire layer chains on Generation() instead.
 ///
-/// Thread compatibility: like StaticAdaptiveHull, const accessors rebuild
-/// a lazily cached K-way merge and are therefore not safe to call
-/// concurrently with each other; Seal() forces the rebuild ahead of a
-/// read-only query burst.
+/// Thread compatibility: the one HullEngine whose const accessors rebuild
+/// a lazily cached K-way merge, so they are not safe to call concurrently
+/// with each other; Seal() forces the rebuild ahead of a read-only query
+/// burst.
 class WindowedHullEngine final : public HullEngine {
  public:
   /// \param options validated for EngineKind::kWindowed (CHECK-fails

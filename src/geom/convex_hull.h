@@ -1,9 +1,11 @@
-// streamhull: exact static convex hulls (Andrew's monotone chain).
+// streamhull: static convex hulls (Andrew's monotone chain).
 //
 // The streaming summaries in src/core approximate the hull; this module
-// computes it exactly in O(n log n) for ground truth in tests, error
+// computes the full hull in O(n log n) for ground truth in tests, error
 // measurement in the evaluation harness, and the offline half of the
-// comparison experiments.
+// comparison experiments. Orientation tests are double-precision, not
+// exact predicates, so nearly collinear inputs may be classified either
+// way.
 
 #ifndef STREAMHULL_GEOM_CONVEX_HULL_H_
 #define STREAMHULL_GEOM_CONVEX_HULL_H_
@@ -14,8 +16,8 @@
 
 namespace streamhull {
 
-/// \brief Exact convex hull of \p points, counterclockwise, starting from
-/// the lexicographically smallest vertex.
+/// \brief Convex hull of \p points (double-precision orientation tests),
+/// counterclockwise, starting from the lexicographically smallest vertex.
 ///
 /// Collinear boundary points are excluded (only true corners are returned);
 /// duplicates are handled. Degenerate inputs yield degenerate hulls: a

@@ -1,10 +1,10 @@
 #include "multi/region_hull.h"
 
-#include <latch>
 #include <utility>
 
 #include "common/check.h"
 #include "geom/convex_hull.h"
+#include "runtime/parallel_for.h"
 
 namespace streamhull {
 
@@ -68,32 +68,12 @@ void RegionPartitionedHull::InsertBatch(std::span<const Point2> points,
     }
     route_buckets_[target].push_back(p);
   }
-  if (pool == nullptr) {
-    for (size_t i = 0; i < route_buckets_.size(); ++i) {
-      if (!route_buckets_[i].empty()) {
-        HullAt(i).InsertBatch(route_buckets_[i]);
-      }
-    }
-    return;
-  }
-  // Fan out: one task per non-empty bucket, so every summary has exactly
-  // one writer. The latch is the barrier that makes the call synchronous
-  // (and the buckets safe to reuse) despite the parallel interior.
-  SH_CHECK(!pool->InWorkerThread() &&
-           "region InsertBatch latch-wait from inside a pool task");
-  ptrdiff_t tasks = 0;
-  for (const auto& bucket : route_buckets_) tasks += bucket.empty() ? 0 : 1;
-  std::latch done(tasks);
-  for (size_t i = 0; i < route_buckets_.size(); ++i) {
-    if (route_buckets_[i].empty()) continue;
-    AdaptiveHull* hull = &HullAt(i);
-    const std::vector<Point2>* bucket = &route_buckets_[i];
-    pool->Submit([hull, bucket, &done] {
-      hull->InsertBatch(*bucket);
-      done.count_down();
-    });
-  }
-  done.wait();
+  // Fan out per bucket, so every summary has exactly one writer. The
+  // ParallelFor barrier keeps the call synchronous (and the buckets safe to
+  // reuse) despite the parallel interior.
+  ParallelFor(pool, route_buckets_.size(), /*min_chunk=*/1, [&](size_t i) {
+    if (!route_buckets_[i].empty()) HullAt(i).InsertBatch(route_buckets_[i]);
+  });
 }
 
 std::vector<ConvexPolygon> RegionPartitionedHull::Shape() const {
@@ -116,23 +96,11 @@ std::vector<std::string> RegionPartitionedHull::EncodeAllRegionViews(
     ThreadPool* pool) const {
   const size_t n = regions_.size() + 1;
   std::vector<std::string> views(n);
-  if (pool == nullptr) {
-    for (size_t i = 0; i < n; ++i) views[i] = EncodeRegionView(i);
-    return views;
-  }
-  // Each task reads one summary and writes one slot: disjoint const reads
+  // Each index reads one summary and writes one slot: disjoint const reads
   // (AdaptiveHull's const accessors are thread-compatible) and disjoint
-  // writes, so the only synchronization needed is the completion latch.
-  SH_CHECK(!pool->InWorkerThread() &&
-           "EncodeAllRegionViews latch-wait from inside a pool task");
-  std::latch done(static_cast<ptrdiff_t>(n));
-  for (size_t i = 0; i < n; ++i) {
-    pool->Submit([this, i, &views, &done] {
-      views[i] = EncodeRegionView(i);
-      done.count_down();
-    });
-  }
-  done.wait();
+  // writes, so the ParallelFor barrier is the only synchronization needed.
+  ParallelFor(pool, n, /*min_chunk=*/1,
+              [&](size_t i) { views[i] = EncodeRegionView(i); });
   return views;
 }
 

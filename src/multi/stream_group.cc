@@ -147,8 +147,8 @@ Status StreamGroup::InsertBatch(const std::string& name,
 }
 
 void StreamGroup::SetParallelism(size_t num_threads) {
-  SH_CHECK(ingestor_ == nullptr && "parallelism already enabled");
-  ingestor_ = std::make_unique<ParallelIngestor>(num_threads);
+  SH_CHECK(pool_ == nullptr && "parallelism already enabled");
+  pool_ = std::make_unique<ThreadPool>(num_threads);
 }
 
 Status StreamGroup::InsertBatchAsync(const std::string& name,
@@ -162,24 +162,24 @@ Status StreamGroup::InsertBatchAsync(const std::string& name,
     return Status::FailedPrecondition(
         "stream '" + name + "' is remote; its points live on the producer");
   }
-  if (ingestor_ == nullptr) {  // Parallelism off: plain batched ingestion.
+  if (pool_ == nullptr) {  // Parallelism off: plain batched ingestion.
     entry.engine->InsertBatch(points);
     return Status::OK();
   }
-  if (entry.shard == static_cast<size_t>(-1)) {
-    entry.shard = ingestor_->AddShard();
+  if (entry.strand == static_cast<size_t>(-1)) {
+    entry.strand = pool_->AddStrand();
   }
-  // The engine pointer is stable (owned by the map node) and the shard is
+  // The engine pointer is stable (owned by the map node) and the strand is
   // its only writer until the next Flush(); the batch owns its points.
   HullEngine* engine = entry.engine.get();
-  ingestor_->Post(entry.shard, [engine, pts = std::move(points)] {
+  pool_->Post(entry.strand, [engine, pts = std::move(points)] {
     engine->InsertBatch(pts);
   });
   return Status::OK();
 }
 
 void StreamGroup::Flush() {
-  if (ingestor_ != nullptr) ingestor_->Flush();
+  if (pool_ != nullptr) pool_->WaitIdle();
 }
 
 const HullEngine* StreamGroup::Hull(const std::string& name) const {
@@ -322,8 +322,8 @@ Status StreamGroup::RemoveStream(const std::string& name) {
     return Status::InvalidArgument("unknown stream '" + name + "'");
   }
   // The engine may be mid-batch on a pool worker; quiesce before tearing
-  // it down. (The stream's ingestor lane, if any, simply stays idle — lanes
-  // are cheap and the runtime has no shard retirement.)
+  // it down. (The stream's strand, if any, simply stays idle — strands are
+  // cheap and the pool has no strand retirement.)
   Flush();
   StreamEntry& entry = it->second;
   if (entry.bp_id != kNoSlot) {
@@ -446,8 +446,7 @@ uint64_t StreamGroup::RefreshFleetIndex() {
   std::vector<Aabb> boxes(pending.size());
   std::vector<uint8_t> nonempty(pending.size());
   std::vector<uint8_t> rebuilt(pending.size());
-  ThreadPool* pool = ingestor_ ? &ingestor_->pool() : nullptr;
-  ParallelFor(pool, pending.size(), /*min_chunk=*/8, [&](size_t i) {
+  ParallelFor(pool_.get(), pending.size(), /*min_chunk=*/8, [&](size_t i) {
     StreamEntry& entry = *pending[i].entry;
     rebuilt[i] = MaterializeEntry(entry) ? 1 : 0;
     nonempty[i] = entry.cached_view.empty() ? 0 : 1;
@@ -516,8 +515,8 @@ void StreamGroup::PollFleet(uint64_t poll_index,
     Certainty ba = Certainty::kUnknown;
   };
   std::vector<Outcome> outcomes(candidates->size());
-  ThreadPool* pool = ingestor_ ? &ingestor_->pool() : nullptr;
-  ParallelFor(pool, candidates->size(), /*min_chunk=*/32, [&](size_t i) {
+  ParallelFor(pool_.get(), candidates->size(), /*min_chunk=*/32,
+              [&](size_t i) {
     const auto [ia, ib] = (*candidates)[i];
     const FleetSlot& sa = fleet_slots_[ia];
     const FleetSlot& sb = fleet_slots_[ib];

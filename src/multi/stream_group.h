@@ -35,10 +35,10 @@
 // reports — a sink holding nothing but decoded views still certifies
 // pairwise separation, containment, and overlap.
 //
-// Ingestion can run in parallel: SetParallelism(n) attaches a runtime
-// (runtime/parallel_ingestor.h) and InsertBatchAsync then shards batches by
-// stream — each stream is a single-writer FIFO lane, so every engine still
-// sees single-threaded access in submission order and the resulting
+// Ingestion can run in parallel: SetParallelism(n) attaches a worker pool
+// (runtime/thread_pool.h) and InsertBatchAsync then shards batches by
+// stream — each stream is a single-writer FIFO strand, so every engine
+// still sees single-threaded access in submission order and the resulting
 // summaries are bit-identical to sequential ingestion. Flush() is the
 // barrier; Poll() and Report() flush implicitly. See DESIGN.md,
 // "Concurrency model".
@@ -51,7 +51,7 @@
 // a pruned pair's boxes are strictly disjoint, which *certifies*
 // separability true and containment false — exactly what brute force
 // would compute — so fleet Poll events are identical to evaluating every
-// pair. Candidate evaluation fans out over the ingestion runtime's
+// pair. Candidate evaluation fans out over the ingestion
 // ThreadPool when parallelism is enabled, with a deterministic merge that
 // makes parallel Poll bit-identical to sequential. See DESIGN.md, "Fleet
 // monitoring".
@@ -75,7 +75,7 @@
 #include "multi/broad_phase.h"
 #include "queries/certified.h"
 #include "queries/queries.h"
-#include "runtime/parallel_ingestor.h"
+#include "runtime/thread_pool.h"
 
 /// \file
 /// \brief Named multi-stream monitoring with certified tri-state transition
@@ -249,13 +249,13 @@ class StreamGroup {
 
   /// \brief Enables parallel ingestion with \p num_threads pool workers
   /// (0 selects the hardware concurrency) — each stream becomes a
-  /// single-writer shard on the runtime and InsertBatchAsync fans out
+  /// single-writer strand on the pool and InsertBatchAsync fans out
   /// across the pool. Call once, before the first InsertBatchAsync;
   /// CHECK-fails if parallelism is already enabled.
   void SetParallelism(size_t num_threads);
 
-  /// True once SetParallelism has attached a runtime.
-  bool parallel() const { return ingestor_ != nullptr; }
+  /// True once SetParallelism has attached a worker pool.
+  bool parallel() const { return pool_ != nullptr; }
 
   /// \brief Queues a batch for the named stream and returns immediately
   /// (the points are copied). Batches for one stream run FIFO in
@@ -398,8 +398,8 @@ class StreamGroup {
     /// streams are skipped entirely by RefreshFleetIndex.
     uint64_t bp_generation = kNeverRefreshed;
 
-    /// Single-writer lane on the runtime; assigned on first async batch.
-    ParallelIngestor::ShardId shard = static_cast<size_t>(-1);
+    /// Single-writer strand on the pool; assigned on first async batch.
+    ThreadPool::StrandId strand = static_cast<size_t>(-1);
 
     /// Cached sandwich, valid while the generation below matches the
     /// stream's current state (local: the engine's mutation epoch; remote:
@@ -470,12 +470,12 @@ class StreamGroup {
   };
 
   /// Re-indexes streams whose generation moved since their last refresh
-  /// (materializing views in parallel when a runtime is attached) and
+  /// (materializing views in parallel when a pool is attached) and
   /// returns how many were refreshed.
   uint64_t RefreshFleetIndex();
 
   /// The fleet-watch half of Poll(): refresh the index, evaluate candidate
-  /// pairs (in parallel when a runtime is attached), merge deterministically.
+  /// pairs (in parallel when a pool is attached), merge deterministically.
   void PollFleet(uint64_t poll_index, std::vector<PairEvent>* events);
 
   EngineOptions options_;
@@ -487,7 +487,7 @@ class StreamGroup {
   std::set<std::pair<std::string, std::string>> watch_index_;
   uint64_t polls_ = 0;
   uint64_t view_materializations_ = 0;
-  std::unique_ptr<ParallelIngestor> ingestor_;
+  std::unique_ptr<ThreadPool> pool_;
 
   bool fleet_ = false;
   FleetWatchOptions fleet_options_;

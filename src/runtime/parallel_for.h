@@ -1,12 +1,12 @@
 // streamhull: blocking parallel-for over the runtime ThreadPool.
 //
-// The multi-stream layers keep growing read-only fan-out phases — encode
-// every region view, refresh every changed stream's sandwich, evaluate
-// every candidate pair — whose shape is always the same: split an index
-// range into chunks, run the chunks on the pool, wait for all of them.
-// ParallelFor is that shape, once, with the latch-barrier details (and the
-// worker-thread deadlock CHECK) in one place instead of re-derived per
-// call site.
+// The multi-stream layers have several fan-out phases — ingest every
+// region's bucket, encode every region view, refresh every changed
+// stream's sandwich, evaluate every candidate pair — whose shape is always
+// the same: split an index range into chunks, run the chunks on the pool,
+// wait for all of them. ParallelFor is that shape, once, and the library's
+// only fan-out barrier: the latch details, the sequential fallback and the
+// worker-thread deadlock CHECK live here instead of at each call site.
 //
 // Determinism note: the body receives bare indices and must write only to
 // index-addressed slots (each index touched by exactly one chunk), so the

@@ -8,12 +8,9 @@
 namespace streamhull {
 
 namespace {
-// Identity of the calling thread within its pool, for submission affinity.
+// The pool owning the calling thread, for the barrier deadlock CHECKs.
 thread_local const ThreadPool* tls_pool = nullptr;
-thread_local size_t tls_worker = static_cast<size_t>(-1);
 }  // namespace
-
-size_t CurrentWorkerIndex() { return tls_worker; }
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
@@ -27,10 +24,11 @@ ThreadPool::ThreadPool(size_t num_threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  // Drain before raising shutdown_: queued tasks may legally Submit
-  // follow-on work (the documented fan-out pattern), which must not trip
-  // Submit's !shutdown_ check mid-drain. After WaitIdle nothing is queued
-  // or running, and the owner destroying us means nothing new arrives.
+  // Drain before raising shutdown_: queued tasks may legally Submit or
+  // Post follow-on work (the documented fan-out pattern), which must not
+  // trip Submit's !shutdown_ check mid-drain. After WaitIdle nothing is
+  // queued or running — no strand drain can touch freed Strand state — and
+  // the owner destroying us means nothing new arrives.
   WaitIdle();
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -44,19 +42,59 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     SH_CHECK(!shutdown_);
-    // A worker submitting from inside a task keeps the new work on its own
-    // queue (dependent work stays hot); external submitters round-robin.
-    size_t target;
-    if (tls_pool == this) {
-      target = tls_worker;
-    } else {
-      target = next_queue_;
-      next_queue_ = (next_queue_ + 1) % queues_.size();
-    }
-    queues_[target].tasks.push_back(std::move(task));
+    queues_[next_queue_].tasks.push_back(std::move(task));
+    next_queue_ = (next_queue_ + 1) % queues_.size();
     ++inflight_;
   }
   work_cv_.notify_one();
+}
+
+ThreadPool::StrandId ThreadPool::AddStrand() {
+  std::unique_lock<std::mutex> lock(strands_mu_);
+  strands_.push_back(std::make_unique<Strand>());
+  return strands_.size() - 1;
+}
+
+void ThreadPool::Post(StrandId id, std::function<void()> task) {
+  Strand* strand;
+  {
+    std::unique_lock<std::mutex> lock(strands_mu_);
+    SH_CHECK(id < strands_.size());
+    strand = strands_[id].get();
+  }
+  bool schedule;
+  {
+    std::unique_lock<std::mutex> lock(strand->mu);
+    strand->pending.push_back(std::move(task));
+    schedule = !strand->draining;
+    if (schedule) strand->draining = true;
+  }
+  if (schedule) {
+    Submit([this, strand] { Drain(strand); });
+  }
+}
+
+void ThreadPool::Drain(Strand* strand) {
+  // The `draining` flag makes this loop the strand's only executor, and
+  // releasing the strand mutex between check and run keeps Post()
+  // non-blocking while a task executes. The flag is cleared under the same
+  // lock that proves the queue empty, so a concurrent Post() either sees
+  // draining==true and appends behind us, or submits the next drain itself
+  // — never neither. Successive drains may run on different workers; the
+  // mutex hand-off orders their memory effects.
+  while (true) {
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(strand->mu);
+      if (strand->pending.empty()) {
+        strand->draining = false;
+        return;
+      }
+      task = std::move(strand->pending.front());
+      strand->pending.pop_front();
+    }
+    task();
+  }
 }
 
 bool ThreadPool::PopTask(size_t self, std::function<void()>* out) {
@@ -83,7 +121,6 @@ bool ThreadPool::PopTask(size_t self, std::function<void()>* out) {
 
 void ThreadPool::WorkerLoop(size_t self) {
   tls_pool = this;
-  tls_worker = self;
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     std::function<void()> task;

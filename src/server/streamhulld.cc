@@ -25,7 +25,7 @@ struct StreamHullServer::Tenant {
   std::string name;
   std::string token;
   StreamGroup group;
-  ParallelIngestor::ShardId shard = 0;
+  ThreadPool::StrandId strand = 0;
 
   std::atomic<uint64_t> streams{0};
   std::atomic<uint64_t> restored_streams{0};
@@ -59,13 +59,9 @@ struct StreamHullServer::Session {
 };
 
 StreamHullServer::StreamHullServer(ServerOptions options)
-    : options_(std::move(options)),
-      runtime_(std::make_unique<ParallelIngestor>(options_.num_threads)) {}
+    : options_(std::move(options)), pool_(options_.num_threads) {}
 
-StreamHullServer::~StreamHullServer() {
-  // Strand tasks reference sessions; drain them before members go away.
-  runtime_->Flush();
-}
+StreamHullServer::~StreamHullServer() = default;
 
 bool StreamHullServer::ValidStreamName(const std::string& name) {
   if (name.empty() || name.size() > 128) return false;
@@ -91,7 +87,7 @@ Status StreamHullServer::AddTenant(const std::string& name,
   auto tenant = std::make_unique<Tenant>(options_.engine);
   tenant->name = name;
   tenant->token = token;
-  tenant->shard = runtime_->AddShard();
+  tenant->strand = pool_.AddStrand();
   STREAMHULL_RETURN_IF_ERROR(LoadTenantSnapshots(tenant.get()));
   tenants_by_token_.emplace(token, tenant.get());
   tenants_.emplace(name, std::move(tenant));
@@ -265,8 +261,8 @@ void StreamHullServer::HandleMessage(Session* session, SessionMessage msg) {
         return;
       }
       session->pending.fetch_add(1, std::memory_order_release);
-      runtime_->Post(tenant->shard, [this, session, tenant,
-                                     name = std::move(msg.stream)] {
+      pool_.Post(tenant->strand, [this, session, tenant,
+                                  name = std::move(msg.stream)] {
         // Idempotent attach: an existing stream is simply re-opened, and
         // OPEN_OK reports whatever generation the server already holds —
         // the reconnecting producer's cue for where to resume the chain.
@@ -308,8 +304,8 @@ void StreamHullServer::HandleMessage(Session* session, SessionMessage msg) {
       tenant->frames.fetch_add(1, std::memory_order_relaxed);
       tenant->bytes.fetch_add(msg.payload.size(), std::memory_order_relaxed);
       session->pending.fetch_add(1, std::memory_order_release);
-      runtime_->Post(tenant->shard, [this, session, tenant,
-                                     m = std::move(msg)] {
+      pool_.Post(tenant->strand, [this, session, tenant,
+                                  m = std::move(msg)] {
         const uint32_t version = SnapshotVersion(m.payload);
         const Status st = tenant->group.UpdateRemoteStream(m.stream,
                                                            m.payload);
@@ -343,8 +339,8 @@ void StreamHullServer::HandleMessage(Session* session, SessionMessage msg) {
     case SessionMessageType::kQuery: {
       tenant->queries.fetch_add(1, std::memory_order_relaxed);
       session->pending.fetch_add(1, std::memory_order_release);
-      runtime_->Post(tenant->shard, [this, session, tenant,
-                                     m = std::move(msg)] {
+      pool_.Post(tenant->strand, [this, session, tenant,
+                                  m = std::move(msg)] {
         SessionMessage reply;
         SummaryView a;
         Status st = tenant->group.View(m.stream, &a);
@@ -488,7 +484,7 @@ size_t StreamHullServer::PumpOnce() {
   return dispatched;
 }
 
-void StreamHullServer::Flush() { runtime_->Flush(); }
+void StreamHullServer::Flush() { pool_.WaitIdle(); }
 
 Status StreamHullServer::SaveSnapshots() {
   if (options_.snapshot_dir.empty()) {
@@ -582,24 +578,27 @@ std::string StreamHullServer::MetricsText() {
       sm.polls == 0 ? 0.0
                     : static_cast<double>(sm.poll_ns) / 1000.0 /
                           static_cast<double>(sm.polls);
-  // Health degrades to "shedding" while any configured load bound is
-  // saturated — the line an operator's probe watches.
   bool shedding = options_.max_sessions > 0 &&
                   LiveSessionCount() >= options_.max_sessions;
+  bool degraded = sm.snapshot_save_failures > 0;
   for (const auto& [name, tenant] : tenants_) {
     if (options_.max_streams_per_tenant > 0 &&
         tenant->streams.load(std::memory_order_relaxed) >=
             options_.max_streams_per_tenant) {
       shedding = true;
     }
+    if (tenant->quarantined_snapshots.load(std::memory_order_relaxed) > 0) {
+      degraded = true;
+    }
   }
+  const char* health = shedding ? "shedding" : degraded ? "degraded" : "ok";
   out << "streamhulld: tenants=" << tenants_.size()
       << " sessions=" << sessions_.size() << " polls=" << sm.polls
       << " avg_poll_us=" << avg_poll_us
       << " messages=" << sm.frames_dispatched
       << " shed_sessions=" << sm.shed_sessions
       << " snapshot_save_failures=" << sm.snapshot_save_failures
-      << " health=" << (shedding ? "shedding" : "ok") << "\n";
+      << " health=" << health << "\n";
   for (const auto& [name, tenant] : tenants_) {
     TenantMetrics m;
     (void)Metrics(name, &m);

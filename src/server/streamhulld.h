@@ -15,8 +15,8 @@
 //     a test (or the soak) drives it deterministically: attach pipe
 //     transports, PumpOnce()+Flush(), assert.
 //
-//   * Each tenant owns a StreamGroup of remote streams and one Sequencer
-//     strand on the shared runtime pool. Every group-touching operation
+//   * Each tenant owns a StreamGroup of remote streams and one strand on
+//     the server's ThreadPool. Every group-touching operation
 //     (DATA apply, OPEN, QUERY) is posted to the tenant's strand, so the
 //     group sees single-threaded access in arrival order while distinct
 //     tenants ingest concurrently across the pool — the same single-writer
@@ -52,7 +52,7 @@
 
 #include "common/status.h"
 #include "multi/stream_group.h"
-#include "runtime/parallel_ingestor.h"
+#include "runtime/thread_pool.h"
 #include "server/transport.h"
 #include "server/wire.h"
 
@@ -164,7 +164,10 @@ class StreamHullServer {
   Status SaveSnapshots();
 
   /// \brief Human-readable metrics: one server line plus one line per
-  /// tenant. Flushes first (so stream counts are stable to read).
+  /// tenant. Flushes first (so stream counts are stable to read). The
+  /// server line's health= reads "shedding" while a load bound is
+  /// saturated, else "degraded" once a snapshot save failed or a snapshot
+  /// was quarantined, else "ok".
   std::string MetricsText();
 
   /// Point-in-time copy of a tenant's counters (flushes first). Fails on
@@ -207,7 +210,6 @@ class StreamHullServer {
   size_t LiveSessionCount() const;
 
   ServerOptions options_;
-  std::unique_ptr<ParallelIngestor> runtime_;
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;
   std::map<std::string, Tenant*> tenants_by_token_;
   std::vector<std::unique_ptr<Session>> sessions_;
@@ -219,6 +221,11 @@ class StreamHullServer {
   std::atomic<uint64_t> frames_dispatched_{0};
   std::atomic<uint64_t> shed_sessions_{0};
   std::atomic<uint64_t> snapshot_save_failures_{0};
+
+  /// Declared last so it is destroyed first: ~ThreadPool drains every
+  /// strand task — they touch the sessions, tenants and counters above —
+  /// before any of those go away.
+  ThreadPool pool_;
 };
 
 }  // namespace streamhull

@@ -22,11 +22,12 @@
 //   multi/stream_group.h    named multi-stream monitoring with certified
 //                           tri-state transition events
 //   multi/region_hull.h     the §8 region-partitioned shape summary
-//   runtime/...             the concurrency runtime: ThreadPool, per-key
-//                           FIFO Sequencer strands, and the
-//                           ParallelIngestor facade behind
-//                           StreamGroup::InsertBatchAsync and the
-//                           region-parallel paths
+//   runtime/...             the concurrency runtime: ThreadPool with its
+//                           per-key FIFO strands (behind
+//                           StreamGroup::InsertBatchAsync and the server's
+//                           tenants), ParallelFor (the fan-out barrier of
+//                           the region-parallel and Poll paths), and
+//                           failpoints
 //   server/...              streamhulld: the session wire protocol,
 //                           byte transports (in-process pipes and Unix
 //                           sockets), the reusable DeltaSender producer
@@ -74,8 +75,6 @@
 #include "queries/queries.h"
 #include "runtime/failpoint.h"
 #include "runtime/parallel_for.h"
-#include "runtime/parallel_ingestor.h"
-#include "runtime/sequencer.h"
 #include "runtime/thread_pool.h"
 #include "server/delta_sender.h"
 #include "server/producer_client.h"

@@ -19,8 +19,10 @@
 
 #include "core/hull_engine.h"
 #include "core/snapshot.h"
+#include "core/static_adaptive.h"
 #include "multi/region_hull.h"
 #include "multi/stream_group.h"
+#include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 #include "stream/generators.h"
 
@@ -230,6 +232,31 @@ TEST(StreamGroupParallelTest, PollFlushesPendingBatchesFirst) {
     lost |= e.kind == PairEvent::Kind::kSeparabilityLost;
   }
   EXPECT_TRUE(lost);
+}
+
+TEST(EngineConstAccessTest, UnsealedStaticAdaptiveEncodesConcurrently) {
+  // The HullEngine thread-compatibility contract: concurrent const access
+  // is safe on every engine but WindowedHullEngine (its mutable merge
+  // cache). An unsealed StaticAdaptiveHull rebuilds its sample into locals
+  // on every const call, so encodes from four workers at once must race on
+  // nothing (TSan) and match a sequential encode byte for byte.
+  AdaptiveHullOptions opts;
+  opts.r = 32;
+  StaticAdaptiveHull engine(opts);
+  for (const Point2& p : SpiralGenerator(7).Take(2000)) engine.Insert(p);
+  ASSERT_FALSE(engine.sealed());
+  const std::string sequential = EncodeSummaryView(engine);
+  ASSERT_FALSE(sequential.empty());
+
+  ThreadPool pool(4);
+  std::vector<std::string> encoded(16);
+  const StaticAdaptiveHull& shared = engine;
+  ParallelFor(&pool, encoded.size(), /*min_chunk=*/1,
+              [&](size_t i) { encoded[i] = EncodeSummaryView(shared); });
+  EXPECT_FALSE(engine.sealed());
+  for (size_t i = 0; i < encoded.size(); ++i) {
+    EXPECT_EQ(encoded[i], sequential) << "encode " << i;
+  }
 }
 
 TEST(RegionHullParallelTest, ParallelRegionIngestionIsBitIdentical) {

@@ -1,6 +1,6 @@
 // Tests for the concurrency runtime (src/runtime/): ThreadPool execution
-// and barrier semantics, Sequencer per-strand FIFO + mutual exclusion, and
-// the ParallelIngestor facade. The ordering tests are written to fail under
+// and barrier semantics, per-strand FIFO + mutual exclusion, and the
+// ParallelFor fan-out barrier. The ordering tests are written to fail under
 // TSan if the runtime's synchronization is wrong (the CI tsan job runs this
 // binary), not just when a reordering happens to be observed.
 
@@ -14,8 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "runtime/parallel_ingestor.h"
-#include "runtime/sequencer.h"
+#include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 
 namespace streamhull {
@@ -120,15 +119,14 @@ TEST(ThreadPoolTest, WorkIsStolenAcrossQueues) {
   EXPECT_EQ(count.load(), 64);
 }
 
-TEST(SequencerTest, StrandTasksRunInPostOrder) {
+TEST(ThreadPoolStrandTest, StrandTasksRunInPostOrder) {
   ThreadPool pool(4);
-  Sequencer seq(&pool);
-  const auto strand = seq.AddStrand();
+  const auto strand = pool.AddStrand();
   // No lock around `order`: the strand contract says its tasks never run
   // concurrently and are ordered; TSan verifies the claim.
   std::vector<int> order;
   for (int i = 0; i < 500; ++i) {
-    seq.Post(strand, [&order, i] { order.push_back(i); });
+    pool.Post(strand, [&order, i] { order.push_back(i); });
   }
   pool.WaitIdle();
   std::vector<int> expected(500);
@@ -136,13 +134,12 @@ TEST(SequencerTest, StrandTasksRunInPostOrder) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(SequencerTest, StrandsNeverOverlapButDoInterleave) {
+TEST(ThreadPoolStrandTest, StrandsNeverOverlapButDoInterleave) {
   ThreadPool pool(4);
-  Sequencer seq(&pool);
   constexpr int kStrands = 8;
   constexpr int kTasks = 200;
-  std::vector<Sequencer::StrandId> strands;
-  for (int s = 0; s < kStrands; ++s) strands.push_back(seq.AddStrand());
+  std::vector<ThreadPool::StrandId> strands;
+  for (int s = 0; s < kStrands; ++s) strands.push_back(pool.AddStrand());
   // Per-strand reentrancy flag: if two tasks of one strand ever run
   // concurrently, the flag check fires (and TSan flags the counter race).
   std::vector<std::atomic<int>> in_flight(kStrands);
@@ -150,7 +147,7 @@ TEST(SequencerTest, StrandsNeverOverlapButDoInterleave) {
   std::atomic<bool> overlap{false};
   for (int t = 0; t < kTasks; ++t) {
     for (int s = 0; s < kStrands; ++s) {
-      seq.Post(strands[s], [&, s] {
+      pool.Post(strands[s], [&, s] {
         if (in_flight[s].fetch_add(1, std::memory_order_acq_rel) != 0) {
           overlap.store(true);
         }
@@ -164,68 +161,135 @@ TEST(SequencerTest, StrandsNeverOverlapButDoInterleave) {
   for (int s = 0; s < kStrands; ++s) EXPECT_EQ(done[s], kTasks);
 }
 
-TEST(SequencerTest, PostFromInsideStrandTask) {
+TEST(ThreadPoolStrandTest, PostFromInsideStrandTask) {
   ThreadPool pool(2);
-  Sequencer seq(&pool);
-  const auto a = seq.AddStrand();
-  const auto b = seq.AddStrand();
+  const auto a = pool.AddStrand();
+  const auto b = pool.AddStrand();
   std::vector<int> order_b;
-  seq.Post(a, [&] {
-    seq.Post(b, [&order_b] { order_b.push_back(1); });
-    seq.Post(b, [&order_b] { order_b.push_back(2); });
+  pool.Post(a, [&] {
+    pool.Post(b, [&order_b] { order_b.push_back(1); });
+    pool.Post(b, [&order_b] { order_b.push_back(2); });
   });
   pool.WaitIdle();
   EXPECT_EQ(order_b, (std::vector<int>{1, 2}));
 }
 
-TEST(ParallelIngestorTest, ShardsAreFifoAndFlushIsABarrier) {
-  ParallelIngestor ingestor(4);
-  constexpr int kShards = 16;
-  std::vector<ParallelIngestor::ShardId> shards;
-  std::vector<std::vector<int>> logs(kShards);
-  for (int s = 0; s < kShards; ++s) shards.push_back(ingestor.AddShard());
+TEST(ThreadPoolStrandTest, StrandsAreFifoAndWaitIdleIsABarrier) {
+  ThreadPool pool(4);
+  constexpr int kStrands = 16;
+  std::vector<ThreadPool::StrandId> strands;
+  std::vector<std::vector<int>> logs(kStrands);
+  for (int s = 0; s < kStrands; ++s) strands.push_back(pool.AddStrand());
   for (int round = 0; round < 100; ++round) {
-    for (int s = 0; s < kShards; ++s) {
-      ingestor.Post(shards[s], [&logs, s, round] {
-        logs[s].push_back(round);  // Unsynchronized: the shard serializes.
+    for (int s = 0; s < kStrands; ++s) {
+      pool.Post(strands[s], [&logs, s, round] {
+        logs[s].push_back(round);  // Unsynchronized: the strand serializes.
       });
     }
   }
-  ingestor.Flush();
+  pool.WaitIdle();
   // After the barrier the main thread reads everything without locks.
   std::vector<int> expected(100);
   std::iota(expected.begin(), expected.end(), 0);
-  for (int s = 0; s < kShards; ++s) EXPECT_EQ(logs[s], expected);
+  for (int s = 0; s < kStrands; ++s) EXPECT_EQ(logs[s], expected);
 }
 
-TEST(ParallelIngestorTest, DestructionWithPendingWorkDrainsSafely) {
-  // Regression: ~ParallelIngestor destroys the Sequencer before the pool
-  // (construction order forces it), so it must drain first — otherwise
-  // queued strand drains run against freed Strand state during teardown.
+TEST(ThreadPoolStrandTest, DestructionWithPendingWorkDrainsSafely) {
+  // Regression: the pool owns the Strand state its queued drain tasks
+  // run against, so ~ThreadPool must drain before anything is freed —
+  // otherwise queued strand drains run against freed Strand state during
+  // teardown.
   std::atomic<int> ran{0};
   {
-    ParallelIngestor ingestor(2);
-    const auto a = ingestor.AddShard();
-    const auto b = ingestor.AddShard();
+    ThreadPool pool(2);
+    const auto a = pool.AddStrand();
+    const auto b = pool.AddStrand();
     for (int i = 0; i < 200; ++i) {
-      ingestor.Post(a, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-      ingestor.Post(b, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+      pool.Post(a, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+      pool.Post(b, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
     }
-    // No Flush(): destruction itself must be the barrier.
+    // No WaitIdle(): destruction itself must be the barrier.
   }
   EXPECT_EQ(ran.load(), 400);
 }
 
-TEST(ParallelIngestorTest, FlushThenPostThenFlushAgain) {
-  ParallelIngestor ingestor(2);
-  const auto shard = ingestor.AddShard();
-  int value = 0;  // Unsynchronized on purpose: Flush orders the accesses.
-  ingestor.Post(shard, [&value] { value = 1; });
-  ingestor.Flush();
+TEST(ThreadPoolStrandTest, WaitIdleThenPostThenWaitIdleAgain) {
+  ThreadPool pool(2);
+  const auto strand = pool.AddStrand();
+  int value = 0;  // Unsynchronized on purpose: WaitIdle orders the accesses.
+  pool.Post(strand, [&value] { value = 1; });
+  pool.WaitIdle();
   EXPECT_EQ(value, 1);
-  ingestor.Post(shard, [&value] { value = 2; });
-  ingestor.Flush();
+  pool.Post(strand, [&value] { value = 2; });
+  pool.WaitIdle();
   EXPECT_EQ(value, 2);
+}
+
+// ---------------------------------------------------------------------------
+// ParallelFor: the only fan-out barrier.
+
+TEST(ParallelForTest, EveryIndexRunsExactlyOnce) {
+  constexpr size_t kMinChunk = 8;
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+    for (size_t n : {size_t{0}, size_t{1}, 2 * kMinChunk - 1, size_t{1000}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "workers=" << (pool ? pool->num_threads() : 0)
+                   << " n=" << n);
+      std::vector<std::atomic<int>> hits(n);
+      std::vector<std::thread::id> ran_on(n);  // Index-addressed slots.
+      ParallelFor(pool, n, kMinChunk, [&](size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+        ran_on[i] = std::this_thread::get_id();
+      });
+      for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+      // No pool, a single worker, or a range too short for two chunks:
+      // the sequential fallback runs every body on the calling thread.
+      if (pool != &four || n < 2 * kMinChunk) {
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(ran_on[i], std::this_thread::get_id()) << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelForTest, BlockedStrandTaskDoesNotDelayReturn) {
+  // ParallelFor waits on a local latch, not on pool WaitIdle, so unrelated
+  // pool work — here a strand task blocking one worker until the test
+  // releases it *after* the call — cannot extend the barrier. Chunks that
+  // round-robin onto the blocked worker's queue must be stolen by its
+  // siblings. Were the barrier WaitIdle, the call would wait for the
+  // blocked task, which only gives up at its timeout.
+  ThreadPool pool(4);
+  const auto strand = pool.AddStrand();
+  std::atomic<bool> started{false};
+  std::atomic<bool> released{false};
+  std::atomic<bool> timed_out{false};
+  pool.Post(strand, [&] {
+    started.store(true);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!released.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  while (!started.load()) std::this_thread::yield();
+
+  constexpr size_t kN = 1000;
+  std::vector<std::atomic<int>> hits(kN);
+  ParallelFor(&pool, kN, /*min_chunk=*/1, [&](size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  released.store(true);
+  pool.WaitIdle();
+  EXPECT_FALSE(timed_out.load());
+  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 }  // namespace

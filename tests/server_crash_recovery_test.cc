@@ -280,8 +280,10 @@ TEST_F(CrashRecoveryTest, GarbageSnapshotIsQuarantinedNotFatal) {
   SummaryView view;
   EXPECT_TRUE(server->View(kTenant, "good", &view).ok());
   EXPECT_FALSE(server->View(kTenant, "bad", &view).ok());
-  // The tenant line reports the quarantine.
+  // The tenant line reports the quarantine, and the server line counts it
+  // as a degradation.
   EXPECT_NE(server->MetricsText().find("quarantined=1"), std::string::npos);
+  EXPECT_NE(server->MetricsText().find("health=degraded"), std::string::npos);
 }
 
 TEST_F(CrashRecoveryTest, LegacyFooterlessSnapshotStillLoads) {
@@ -455,6 +457,7 @@ TEST_F(CrashRecoveryTest, SaveIsBestEffortAcrossStreams) {
   EXPECT_EQ(server->metrics().snapshot_save_failures, 1u);
   EXPECT_NE(server->MetricsText().find("snapshot_save_failures=1"),
             std::string::npos);
+  EXPECT_NE(server->MetricsText().find("health=degraded"), std::string::npos);
   int written = 0;
   written += fs::exists(TenantDir() / "sa.shl2") ? 1 : 0;
   written += fs::exists(TenantDir() / "sb.shl2") ? 1 : 0;
