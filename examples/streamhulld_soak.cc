@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
       // The restored engine seeded the checkpoint as its wire baseline,
       // so the chain resumes at the checkpoint's generation; if the
       // server is past it, the NAK/OPEN_OK machinery resyncs as usual.
-      p.client->Resume(view.num_points);
+      p.client->Resume(view.generation);
       Settle(server.get(), &producers, &analyst, &now_ms);
     }
     if (round == kRestartRound) {

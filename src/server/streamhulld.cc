@@ -6,6 +6,9 @@
 #include <fstream>
 #include <sstream>
 #include <utility>
+#include <vector>
+
+#include <poll.h>
 
 #include "common/check.h"
 #include "core/checked_file.h"
@@ -438,6 +441,7 @@ size_t StreamHullServer::PumpOnce() {
     const Status recv_status = session->transport->Recv(&session->scratch);
     if (!session->scratch.empty()) session->decoder.Feed(session->scratch);
 
+    bool drained = false;  // The decoder holds no complete frame.
     for (;;) {
       // Frames already decoded stop dispatching at the bound too; they
       // wait in the decoder until the next pump finds headroom.
@@ -452,7 +456,10 @@ size_t StreamHullServer::PumpOnce() {
         CloseSession(session, StatusCode::kInvalidArgument, st.message());
         break;
       }
-      if (!got) break;
+      if (!got) {
+        drained = true;
+        break;
+      }
       SessionMessage msg;
       st = DecodeSessionMessage(frame, &msg);
       if (!st.ok()) {
@@ -464,10 +471,13 @@ size_t StreamHullServer::PumpOnce() {
       if (session->state == Session::State::kClosed) break;
     }
 
-    if (session->state != Session::State::kClosed && !recv_status.ok()) {
-      // The peer is gone: everything received was processed above; a
-      // mid-frame truncation is recorded via Finish() semantics by virtue
-      // of being unframeable, and either way the session ends here.
+    if (session->state != Session::State::kClosed && drained &&
+        !recv_status.ok()) {
+      // The peer is gone and every complete frame it sent was dispatched
+      // above; a trailing partial frame can never complete, so the
+      // session ends here. Frames the bound held back keep the session
+      // open until a later pump dispatches them (the transport keeps
+      // reporting the disconnect).
       session->transport->Close();
       session->state = Session::State::kClosed;
       sessions_closed_.fetch_add(1, std::memory_order_relaxed);
@@ -482,6 +492,30 @@ size_t StreamHullServer::PumpOnce() {
           .count(),
       std::memory_order_relaxed);
   return dispatched;
+}
+
+void StreamHullServer::WaitForWork(int timeout_ms) {
+  // A strand that drains a session below its bound writes nothing this
+  // wait could see: a wake-up write per strand task cost more throughput
+  // than it saved (DESIGN.md, "The readiness wait").
+  std::vector<pollfd> fds;
+  fds.reserve(sessions_.size());
+  for (const auto& s : sessions_) {
+    if (s->state == Session::State::kClosed) continue;
+    if (s->pending.load(std::memory_order_acquire) >=
+        options_.max_pending_per_session) {
+      // Saturated: the strands set the pace, and the fixed cadence keeps
+      // the sustained rate from following how fast the host happens to
+      // wake the pump (DESIGN.md).
+      fds.clear();
+      break;
+    }
+    const int fd = s->transport->poll_fd();
+    if (fd >= 0) fds.push_back(pollfd{fd, POLLIN, 0});
+  }
+  // An empty set makes this a plain sleep. EINTR (a shutdown signal) just
+  // returns early; the caller's loop re-checks its stop flag.
+  (void)::poll(fds.data(), fds.size(), timeout_ms);
 }
 
 void StreamHullServer::Flush() { pool_.WaitIdle(); }

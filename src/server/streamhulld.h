@@ -13,7 +13,11 @@
 //     PumpOnce() drains every session's transport, validates frames, and
 //     dispatches messages. The server never spawns its own I/O threads, so
 //     a test (or the soak) drives it deterministically: attach pipe
-//     transports, PumpOnce()+Flush(), assert.
+//     transports, PumpOnce()+Flush(), assert. PumpOnce never waits for
+//     input; a pump loop that found nothing to do parks in WaitForWork(),
+//     one poll(2) over the sessions, so a frame is read when it arrives
+//     rather than on the next timer tick (unless a session is at its
+//     bound; then the wait is the timer tick).
 //
 //   * Each tenant owns a StreamGroup of remote streams and one strand on
 //     the server's ThreadPool. Every group-touching operation
@@ -37,8 +41,9 @@
 //
 // Thread-safety: construct, AddTenant, and AttachSession from the owning
 // thread before pumping; PumpOnce/Flush from one thread at a time.
-// MetricsText and SaveSnapshots flush internally and must come from the
-// pump thread. Counters are atomics, updated from pool strands.
+// WaitForWork, MetricsText and SaveSnapshots must come from the pump
+// thread (the latter two flush internally). Counters are atomics,
+// updated from pool strands.
 
 #ifndef STREAMHULL_SERVER_STREAMHULLD_H_
 #define STREAMHULL_SERVER_STREAMHULLD_H_
@@ -144,8 +149,22 @@ class StreamHullServer {
   /// session's transport through its frame decoder (respecting the
   /// per-session backpressure bound), dispatch the decoded messages, and
   /// return how many were dispatched. Strand work may still be running
-  /// when it returns; Flush() is the barrier.
+  /// when it returns; Flush() is the barrier. A session whose peer
+  /// disconnected is closed once every complete frame it sent has been
+  /// dispatched (a trailing partial frame is dropped). Never waits for
+  /// input.
   size_t PumpOnce();
+
+  /// \brief The pump loop's idle wait: blocks until a live session has
+  /// bytes or a disconnect to read, or \p timeout_ms passes, whichever is
+  /// first. While any session is at its pending bound the server is
+  /// saturated and the wait is the plain timeout: polling an at-bound
+  /// session would spin the pump on its unread bytes, and readiness
+  /// wake-ups for the others would make the saturated rate follow the
+  /// host's scheduling. Transports without a poll_fd() are never polled.
+  /// Work the wait did not see is picked up by the next pump once the
+  /// timeout expires, and a signal ends the wait early. Pump thread only.
+  void WaitForWork(int timeout_ms);
 
   /// Barrier: every dispatched message has been fully processed (and its
   /// reply handed to the transport) when this returns.

@@ -4,13 +4,17 @@
 // the server, logs a metrics line periodically, and persists every held
 // view on shutdown (SIGINT/SIGTERM) so the next start restores them.
 //
-//   streamhulld --socket /run/streamhulld.sock \
-//               --tenant field:s3cret --tenant lab:hunter2 \
-//               --snapshot-dir /var/lib/streamhulld \
+// Usage (one command line):
+//
+//   streamhulld --socket /run/streamhulld.sock
+//               --tenant field:s3cret --tenant lab:hunter2
+//               --snapshot-dir /var/lib/streamhulld
 //               [--threads N] [--metrics-every 10] [--max-polls N]
 //
 // --max-polls bounds the pump loop (0 = run until a signal); the CI smoke
-// run uses it to exercise the full daemon path without daemonizing.
+// run uses it to exercise the full daemon path without daemonizing. An
+// idle pump parks in StreamHullServer::WaitForWork for at most 1 ms, so
+// new connections, metrics lines and signals are seen within that.
 
 #include <chrono>
 #include <csignal>
@@ -18,7 +22,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "runtime/failpoint.h"
@@ -133,9 +136,7 @@ int main(int argc, char** argv) {
     }
     const size_t dispatched = server.PumpOnce();
     ++polls;
-    if (dispatched == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    if (dispatched == 0) server.WaitForWork(1);
     const auto now = std::chrono::steady_clock::now();
     if (metrics_every > 0 &&
         now - last_metrics >= std::chrono::seconds(metrics_every)) {

@@ -306,6 +306,11 @@ bool UnixSocketTransport::closed() const {
   return impl_->closed;
 }
 
+int UnixSocketTransport::poll_fd() const {
+  std::lock_guard<std::mutex> lock(impl_->recv_mu);
+  return impl_->fd;
+}
+
 // ---------------------------------------------------------------------------
 // UnixSocketListener
 // ---------------------------------------------------------------------------

@@ -64,6 +64,12 @@ class Transport {
 
   /// True once this end was closed locally.
   virtual bool closed() const = 0;
+
+  /// \brief A descriptor that poll(2) reports readable whenever Recv()
+  /// has bytes or the disconnect to deliver, for a caller that waits on
+  /// many transports at once; -1 when there is none (the caller then
+  /// re-checks on a timer). The descriptor stays owned by the transport.
+  virtual int poll_fd() const { return -1; }
 };
 
 /// \brief The in-process test transport: two ends over shared byte queues,
@@ -124,6 +130,8 @@ class UnixSocketTransport : public Transport {
   Status Recv(std::string* out) override;
   void Close() override;
   bool closed() const override;
+  /// The socket, or -1 once closed.
+  int poll_fd() const override;
 
   /// \brief Overrides how long Send() waits for an unwritable peer
   /// before failing with IOError (default

@@ -2,18 +2,26 @@
 // over in-process pipe transports: session authentication, the
 // OPEN/DATA/ACK/NAK protocol, per-session backpressure, wire-protocol
 // certified queries, snapshot persistence with restart restore, and a
-// mini soak for sanitizer coverage. This suite spawns the server's
-// ThreadPool, so CI also runs it under ThreadSanitizer.
+// mini soak for sanitizer coverage; then the pump loop's readiness wait
+// over socketpair sessions, with the pump on its own thread. This suite
+// spawns the server's ThreadPool, so CI also runs it under
+// ThreadSanitizer.
 
 #include "server/streamhulld.h"
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include <poll.h>
+#include <sys/socket.h>
 
 #include "common/rng.h"
 #include "core/hull_engine.h"
@@ -88,6 +96,32 @@ void Handshake(StreamHullServer* server, Client* c,
   ASSERT_TRUE(c->Await(server, &reply));
   ASSERT_EQ(reply.type, SessionMessageType::kOpenOk);
   if (held != nullptr) *held = reply.generation;
+}
+
+// The wire bytes of `frames` DATA messages on stream "s0" from one
+// adaptive r=16 producer, 100 fresh points per frame (a full frame, then
+// chained deltas); *generation receives the last frame's generation.
+std::string DataBurst(int frames, uint64_t* generation) {
+  EngineOptions engine_options;
+  engine_options.hull.r = 16;
+  auto engine = MakeEngine(EngineKind::kAdaptive, engine_options);
+  DeltaSender sender(engine.get());
+  Rng rng(23);
+  std::string bytes;
+  for (int f = 0; f < frames; ++f) {
+    for (int i = 0; i < 100; ++i) {
+      engine->Insert({rng.Normal(), rng.Normal()});
+    }
+    DeltaSender::Frame frame;
+    EXPECT_TRUE(sender.NextFrame(&frame).ok());
+    SessionMessage data;
+    data.type = SessionMessageType::kData;
+    data.stream = "s0";
+    data.payload = frame.bytes;
+    bytes += EncodeSessionFrame(data);
+  }
+  *generation = engine->Generation();
+  return bytes;
 }
 
 TEST(StreamHullServerTest, RejectsBadToken) {
@@ -427,31 +461,50 @@ TEST(StreamHullServerTest, BoundOneDrainsABurstWithoutLossOrDeadlock) {
   Client c = Attach(&server);
   Handshake(&server, &c, "s0");
 
-  EngineOptions engine_options;
-  engine_options.hull.r = 16;
-  auto engine = MakeEngine(EngineKind::kAdaptive, engine_options);
-  DeltaSender sender(engine.get());
-  Rng rng(23);
   constexpr int kFrames = 16;
-  for (int f = 0; f < kFrames; ++f) {
-    for (int i = 0; i < 100; ++i) {
-      engine->Insert({rng.Normal(), rng.Normal()});
-    }
-    DeltaSender::Frame frame;
-    ASSERT_TRUE(sender.NextFrame(&frame).ok());
-    SessionMessage data;
-    data.type = SessionMessageType::kData;
-    data.stream = "s0";
-    data.payload = frame.bytes;
-    c.Send(data);  // The whole burst queues before the server reads any.
-  }
+  uint64_t generation = 0;
+  // The whole burst queues before the server reads any.
+  ASSERT_TRUE(c.link->Send(DataBurst(kFrames, &generation)).ok());
   SessionMessage reply;
   for (int acks = 0; acks < kFrames; ++acks) {
     ASSERT_TRUE(c.Await(&server, &reply));
     ASSERT_EQ(reply.type, SessionMessageType::kAck);
   }
-  EXPECT_EQ(reply.generation, engine->num_points());
+  EXPECT_EQ(reply.generation, generation);
   EXPECT_EQ(c.link->outbox_bytes(), 0u);
+}
+
+TEST(StreamHullServerTest, FramesSentBeforeAnOrderlyCloseSurviveTheBound) {
+  // A producer that sends a burst and hangs up: the bound holds most of
+  // the burst back in the decoder when the pump sees the disconnect, and
+  // every one of those complete frames must still be applied before the
+  // session ends.
+  ServerOptions options = SmallServerOptions();
+  options.max_pending_per_session = 1;
+  StreamHullServer server(options);
+  ASSERT_TRUE(server.AddTenant(kTenant, kToken).ok());
+  Client c = Attach(&server);
+  Handshake(&server, &c, "s0");
+
+  constexpr int kFrames = 16;
+  uint64_t generation = 0;
+  ASSERT_TRUE(c.link->Send(DataBurst(kFrames, &generation)).ok());
+  c.link->Close();
+  for (int i = 0; i < 100 && server.session_count() > 0; ++i) {
+    server.PumpOnce();
+    server.Flush();
+  }
+  EXPECT_EQ(server.session_count(), 0u);
+  TenantMetrics tm;
+  ASSERT_TRUE(server.Metrics(kTenant, &tm).ok());
+  EXPECT_EQ(tm.frames, static_cast<uint64_t>(kFrames));
+  EXPECT_EQ(tm.full_frames + tm.delta_frames,
+            static_cast<uint64_t>(kFrames));
+  // A reconnecting producer is told the burst's last generation is held.
+  Client again = Attach(&server);
+  uint64_t held = 0;
+  Handshake(&server, &again, "s0", &held);
+  EXPECT_EQ(held, generation);
 }
 
 TEST(StreamHullServerTest, MiniSoakManyProducersWithLossAndBackpressure) {
@@ -534,6 +587,183 @@ TEST(StreamHullServerTest, MiniSoakManyProducersWithLossAndBackpressure) {
   EXPECT_EQ(tm.streams, static_cast<uint64_t>(kProducers));
   EXPECT_GT(tm.full_frames + tm.delta_frames, 0u);
   EXPECT_EQ(tm.rejected_frames, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The readiness wait over Unix sockets. The daemon's loop is PumpOnce(),
+// then WaitForWork(1) whenever nothing was dispatched.
+// ---------------------------------------------------------------------------
+
+SessionMessage Hello() {
+  SessionMessage hello;
+  hello.type = SessionMessageType::kHello;
+  hello.version = kServerProtocolVersion;
+  hello.token = kToken;
+  return hello;
+}
+
+// Attaches the server end of a fresh socketpair; returns the client end.
+std::unique_ptr<UnixSocketTransport> AttachSocket(StreamHullServer* server) {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  server->AttachSession(std::make_unique<UnixSocketTransport>(fds[1]));
+  return std::make_unique<UnixSocketTransport>(fds[0]);
+}
+
+// A client that blocks on its own socket for each reply, as a producer
+// talking to a separately pumped server does.
+struct SocketClient {
+  std::unique_ptr<UnixSocketTransport> link;
+  FrameDecoder replies;
+
+  // Sends \p frames, then waits up to 5 s for the next reply.
+  bool Request(const std::string& frames, SessionMessage* reply) {
+    if (!link->Send(frames).ok()) return false;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < deadline) {
+      std::string frame;
+      bool got = false;
+      if (!replies.Next(&frame, &got).ok()) return false;
+      if (got) return DecodeSessionMessage(frame, reply).ok();
+      pollfd pfd{link->poll_fd(), POLLIN, 0};
+      (void)::poll(&pfd, 1, 100);
+      std::string bytes;
+      if (!link->Recv(&bytes).ok()) return false;
+      replies.Feed(bytes);
+    }
+    return false;
+  }
+};
+
+// Runs the daemon's pump loop (without the listener) until destroyed.
+class PumpThread {
+ public:
+  explicit PumpThread(StreamHullServer* server)
+      : thread_([this, server] {
+          while (!stop_.load(std::memory_order_relaxed)) {
+            if (server->PumpOnce() == 0) server->WaitForWork(1);
+          }
+        }) {}
+  ~PumpThread() {
+    stop_.store(true, std::memory_order_relaxed);
+    thread_.join();
+  }
+  PumpThread(const PumpThread&) = delete;
+  PumpThread& operator=(const PumpThread&) = delete;
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;  // Last: starts once stop_ exists.
+};
+
+TEST(StreamHullServerWaitTest, WakesWhenASocketSessionTurnsReadable) {
+  StreamHullServer server(SmallServerOptions());
+  ASSERT_TRUE(server.AddTenant(kTenant, kToken).ok());
+  std::unique_ptr<UnixSocketTransport> client = AttachSocket(&server);
+  const auto start = std::chrono::steady_clock::now();
+  std::thread writer([&client] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_TRUE(client->Send(EncodeSessionFrame(Hello())).ok());
+  });
+  server.WaitForWork(10000);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  writer.join();
+  EXPECT_GE(waited, std::chrono::milliseconds(15));  // A quiet socket waits.
+  EXPECT_LT(waited, std::chrono::seconds(5));
+  EXPECT_EQ(server.PumpOnce(), 1u);  // The HELLO that ended the wait.
+}
+
+TEST(StreamHullServerWaitTest, SessionsAtTheBoundAreLeftOutOfTheWait) {
+  // max_pending_per_session = 0 keeps the session at its bound, so the
+  // pump never reads its queued HELLO. Were the session polled, those
+  // bytes would end every wait at once and the pump loop would spin.
+  ServerOptions options = SmallServerOptions();
+  options.max_pending_per_session = 0;
+  StreamHullServer server(options);
+  ASSERT_TRUE(server.AddTenant(kTenant, kToken).ok());
+  std::unique_ptr<UnixSocketTransport> client = AttachSocket(&server);
+  ASSERT_TRUE(client->Send(EncodeSessionFrame(Hello())).ok());
+  const auto start = std::chrono::steady_clock::now();
+  server.WaitForWork(50);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(40));
+  EXPECT_EQ(server.PumpOnce(), 0u);
+}
+
+TEST(StreamHullServerWaitTest, ASessionAtTheBoundMakesTheWaitAPlainTimeout) {
+  // Session a holds its one pending slot: its strand is stuck sending
+  // OPEN_OK into a full socket buffer. Session b is below the bound, and
+  // its HELLO arrives 20 ms into the wait, yet the wait runs its course.
+  ServerOptions options = SmallServerOptions();
+  options.max_pending_per_session = 1;
+  StreamHullServer server(options);
+  ASSERT_TRUE(server.AddTenant(kTenant, kToken).ok());
+  int a_fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, a_fds), 0);
+  server.AttachSession(std::make_unique<UnixSocketTransport>(a_fds[1]));
+  auto a = std::make_unique<UnixSocketTransport>(a_fds[0]);
+  ASSERT_TRUE(a->Send(EncodeSessionFrame(Hello())).ok());
+  ASSERT_EQ(server.PumpOnce(), 1u);  // HELLO_OK is sent from the pump.
+  const std::string filler(65536, '\0');
+  while (::send(a_fds[1], filler.data(), filler.size(), MSG_NOSIGNAL) > 0) {
+  }
+  SessionMessage open;
+  open.type = SessionMessageType::kOpen;
+  open.stream = "s0";
+  ASSERT_TRUE(a->Send(EncodeSessionFrame(open)).ok());
+  ASSERT_EQ(server.PumpOnce(), 1u);
+
+  std::unique_ptr<UnixSocketTransport> b = AttachSocket(&server);
+  const auto start = std::chrono::steady_clock::now();
+  std::thread writer([&b] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_TRUE(b->Send(EncodeSessionFrame(Hello())).ok());
+  });
+  server.WaitForWork(300);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  writer.join();
+  EXPECT_GE(waited, std::chrono::milliseconds(250));
+  EXPECT_EQ(server.PumpOnce(), 1u);  // b's HELLO; a is still at the bound.
+  a.reset();  // The stuck send fails, and the strand finishes.
+  server.Flush();
+}
+
+TEST(StreamHullServerWaitTest, PumpThreadServesASocketClient) {
+  StreamHullServer server(SmallServerOptions());
+  ASSERT_TRUE(server.AddTenant(kTenant, kToken).ok());
+  SocketClient c{AttachSocket(&server), FrameDecoder()};
+  uint64_t generation = 0;
+  const std::string data = DataBurst(1, &generation);
+  {
+    PumpThread pump(&server);
+    SessionMessage reply;
+    ASSERT_TRUE(c.Request(EncodeSessionFrame(Hello()), &reply));
+    ASSERT_EQ(reply.type, SessionMessageType::kHelloOk);
+
+    SessionMessage open;
+    open.type = SessionMessageType::kOpen;
+    open.stream = "s0";
+    ASSERT_TRUE(c.Request(EncodeSessionFrame(open), &reply));
+    ASSERT_EQ(reply.type, SessionMessageType::kOpenOk);
+
+    ASSERT_TRUE(c.Request(data, &reply));
+    ASSERT_EQ(reply.type, SessionMessageType::kAck);
+    EXPECT_EQ(reply.generation, generation);
+
+    SessionMessage query;
+    query.type = SessionMessageType::kQuery;
+    query.query = ServerQueryKind::kDiameter;
+    query.stream = "s0";
+    ASSERT_TRUE(c.Request(EncodeSessionFrame(query), &reply));
+    ASSERT_EQ(reply.type, SessionMessageType::kQueryResult);
+    EXPECT_GT(reply.hi, 0.0);
+    EXPECT_LE(reply.lo, reply.hi);
+  }
+  TenantMetrics tm;
+  ASSERT_TRUE(server.Metrics(kTenant, &tm).ok());
+  EXPECT_EQ(tm.full_frames, 1u);
+  EXPECT_EQ(tm.queries, 1u);
 }
 
 }  // namespace

@@ -33,6 +33,23 @@ TEST(PipeTransportTest, OutboxBytesTracksUnreceivedSends) {
   EXPECT_EQ(a->outbox_bytes(), 0u);
 }
 
+TEST(PipeTransportTest, HasNoPollFd) {
+  auto [a, b] = PipeTransport::CreatePair();
+  EXPECT_EQ(a->poll_fd(), -1);
+  EXPECT_EQ(b->poll_fd(), -1);
+}
+
+TEST(UnixSocketTransportTest, PollFdIsTheSocketUntilClosed) {
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  UnixSocketTransport a(fds[0]);
+  UnixSocketTransport b(fds[1]);
+  EXPECT_EQ(a.poll_fd(), fds[0]);
+  EXPECT_EQ(b.poll_fd(), fds[1]);
+  a.Close();
+  EXPECT_EQ(a.poll_fd(), -1);
+}
+
 TEST(UnixSocketTransportTest, SendFailsBoundedWhenPeerStopsReading) {
   int fds[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
