@@ -1,9 +1,8 @@
-// Microbenchmarks for the vectorized geometry kernels (geom/kernels.h),
+// Microbenchmarks for the vectorized geometry kernel (geom/kernels.h),
 // comparing the dispatched ISA against the forced-scalar path on the same
 // inputs. CertifyInteriorBatch runs against a 16-edge coarse polygon —
 // the exact shape the ingestion prefilter builds — over point sets at
-// several interior fractions; SignedOffsets runs at the subject sizes the
-// SupportIntersection clip loop sees. items_per_second counts points.
+// several interior fractions. items_per_second counts points.
 
 #include <benchmark/benchmark.h>
 
@@ -68,28 +67,6 @@ void BM_CertifyInteriorBatch(benchmark::State& state) {
   state.SetLabel(forced_scalar ? "scalar" : SimdIsaName(ActiveSimdIsa()));
 }
 
-void BM_SignedOffsets(benchmark::State& state) {
-  const bool forced_scalar = state.range(0) != 0;
-  const size_t n = static_cast<size_t>(state.range(1));
-  Rng rng(1234567);
-  std::vector<double> xs(n), ys(n), out(n);
-  for (size_t i = 0; i < n; ++i) {
-    xs[i] = rng.Uniform(-2.0, 2.0);
-    ys[i] = rng.Uniform(-2.0, 2.0);
-  }
-
-  if (forced_scalar) ForceSimdIsa(SimdIsa::kScalar);
-  for (auto _ : state) {
-    SignedOffsets(xs.data(), ys.data(), n, 0.25, -0.5, 0.6, 0.8, out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  ClearForcedSimdIsa();
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-  state.SetLabel(forced_scalar ? "scalar" : SimdIsaName(ActiveSimdIsa()));
-}
-
 void CertifyArgs(benchmark::internal::Benchmark* b) {
   b->ArgNames({"force_scalar", "interior%"});
   for (int scalar : {0, 1}) {
@@ -97,15 +74,7 @@ void CertifyArgs(benchmark::internal::Benchmark* b) {
   }
 }
 
-void OffsetArgs(benchmark::internal::Benchmark* b) {
-  b->ArgNames({"force_scalar", "n"});
-  for (int scalar : {0, 1}) {
-    for (int n : {8, 64, 1024}) b->Args({scalar, n});
-  }
-}
-
 BENCHMARK(BM_CertifyInteriorBatch)->Apply(CertifyArgs);
-BENCHMARK(BM_SignedOffsets)->Apply(OffsetArgs);
 
 }  // namespace
 

@@ -10,7 +10,6 @@
 #include "core/static_adaptive.h"
 #include "core/windowed_hull.h"
 #include "geom/convex_hull.h"
-#include "geom/kernels.h"
 
 namespace streamhull {
 
@@ -23,6 +22,25 @@ constexpr std::array<EngineKind, 5> kAllKinds = {
     EngineKind::kStaticAdaptive,
     EngineKind::kWindowed,
 };
+
+constexpr double kPi = 3.14159265358979323846;
+
+// One relaxed supporting line in centroid-relative form,
+// { x : dot(x - c, u) <= b }, with the polar angle of u unwrapped so that
+// angles grow along SupportIntersection's pass.
+struct HalfPlane {
+  Point2 u;
+  double b;
+  double angle;
+};
+
+// Where the boundary lines of p and q cross, by Cramer's rule. Requires
+// Cross(p.u, q.u) != 0.
+Point2 Meet(const HalfPlane& p, const HalfPlane& q) {
+  const double det = Cross(p.u, q.u);
+  return {(p.b * q.u.y - q.b * p.u.y) / det,
+          (q.b * p.u.x - p.b * q.u.x) / det};
+}
 
 }  // namespace
 
@@ -117,74 +135,109 @@ ConvexPolygon SupportIntersection(const std::vector<HullSample>& samples,
                                   std::span<const double> slacks) {
   SH_CHECK(slacks.empty() || slacks.size() == samples.size());
   if (samples.empty()) return ConvexPolygon();
+  const size_t n = samples.size();
 
-  // Anchor points of the (outward-relaxed) supporting lines, and the
-  // largest support value relative to the sample centroid.
+  // Each relaxed line as dot(x - c, u_i) <= b_i around the sample centroid
+  // c, so the arithmetic below works at the summary's extent, not at its
+  // distance from the origin; m is the largest offset.
   Point2 c{0, 0};
   for (const HullSample& s : samples) c += s.point;
-  c = c / static_cast<double>(samples.size());
-  std::vector<Point2> anchors(samples.size());
-  std::vector<Point2> normals(samples.size());
+  c = c / static_cast<double>(n);
+  std::vector<HalfPlane> lines(n);
   double m = 0;
-  for (size_t i = 0; i < samples.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const Point2 u = samples[i].direction.ToVector();
-    normals[i] = u;
-    anchors[i] = samples[i].point + u * (slacks.empty() ? 0.0 : slacks[i]);
-    m = std::max(m, Dot(anchors[i] - c, u));
+    const double slack = slacks.empty() ? 0.0 : slacks[i];
+    lines[i] = {u, Dot(samples[i].point - c, u) + slack,
+                samples[i].direction.Radians()};
+    m = std::max(m, lines[i].b);
   }
 
-  // Every x in the intersection has dot(x - c, u_i) <= m for all i, and
-  // consecutive sample directions are at most theta0 = 2*pi/r apart
-  // (uniform directions are never deactivated), so |x - c| <=
-  // m / cos(pi/r) <= 2m for r >= 8. A box of half-width 4m strictly
-  // contains the region; the absolute floor keeps single-point summaries
-  // (m == 0) clipping against a non-degenerate subject.
-  const double h =
-      4.0 * m + 1e-12 * (1.0 + std::abs(c.x) + std::abs(c.y));
-
-  // Sutherland–Hodgman over SoA coordinate arrays: the per-vertex signed
-  // offsets of each half-plane come from the vectorized SignedOffsets
-  // kernel, and the rebuild mirrors ClipByHalfPlane's arithmetic term for
-  // term (same subtraction, division, and interpolation order), so the
-  // result is bit-identical to clipping a vector<Point2> — whichever ISA
-  // the kernel dispatches to.
-  std::vector<double> xs{c.x - h, c.x + h, c.x + h, c.x - h};
-  std::vector<double> ys{c.y - h, c.y - h, c.y + h, c.y + h};
-  std::vector<double> offs, next_xs, next_ys;
-  const size_t max_verts = 4 + anchors.size() + 1;
-  offs.reserve(max_verts);
-  next_xs.reserve(max_verts);
-  next_ys.reserve(max_verts);
-  for (size_t i = 0; i < anchors.size() && !xs.empty(); ++i) {
-    const size_t k = xs.size();
-    offs.resize(k);
-    SignedOffsets(xs.data(), ys.data(), k, anchors[i].x, anchors[i].y,
-                  normals[i].x, normals[i].y, offs.data());
-    next_xs.clear();
-    next_ys.clear();
-    for (size_t j = 0; j < k; ++j) {
-      const size_t jp = (j + k - 1) % k;
-      const double dc = offs[j];
-      const double dp = offs[jp];
-      const bool cur_in = dc <= 0;
-      const bool prev_in = dp <= 0;
-      if (cur_in != prev_in) {
-        // Signs differ, so dp - dc != 0 and t lands in [0, 1].
-        const double t = dp / (dp - dc);
-        next_xs.push_back(xs[jp] + (xs[j] - xs[jp]) * t);
-        next_ys.push_back(ys[jp] + (ys[j] - ys[jp]) * t);
-      }
-      if (cur_in) {
-        next_xs.push_back(xs[j]);
-        next_ys.push_back(ys[j]);
+  // Sorted half-plane intersection (Preparata & Shamos): a deque of the
+  // lines that still bound the region, in angular order. A line is dropped
+  // only when a vertex lies outside the new line by more than the rounding
+  // band tol, so rounding noise can keep a redundant line (loosening the
+  // polygon) but never drops one that bounds it.
+  const double tol = 1e-12 * (m + std::abs(c.x) + std::abs(c.y));
+  auto outside = [tol](Point2 v, const HalfPlane& h) {
+    return Dot(v, h.u) - h.b > tol;
+  };
+  std::vector<HalfPlane> dq;
+  dq.reserve(n + 3);
+  size_t head = 0;
+  // Returns false once the half-planes provably share no point.
+  auto add = [&](const HalfPlane& h) {
+    while (dq.size() - head >= 2 &&
+           outside(Meet(dq[dq.size() - 2], dq.back()), h)) {
+      dq.pop_back();
+    }
+    while (dq.size() - head >= 2 &&
+           outside(Meet(dq[head], dq[head + 1]), h)) {
+      ++head;
+    }
+    if (dq.size() > head) {
+      const HalfPlane& back = dq.back();
+      if (h.angle - back.angle >= kPi) return false;
+      if (Cross(back.u, h.u) <= 0) {
+        // Directions closer than their unit vectors resolve: keep the
+        // tighter line, or the one already kept when they are within tol.
+        if (Dot(back.u, h.u) < 0) return false;
+        if (back.b - h.b <= tol) return true;
+        dq.pop_back();
       }
     }
-    xs.swap(next_xs);
-    ys.swap(next_ys);
+    dq.push_back(h);
+    return true;
+  };
+
+  for (size_t i = 0; i < n; ++i) {
+    if (!add(lines[i])) return ConvexPolygon();
+    // A CCW gap wider than a quarter turn leaves the region unbounded or
+    // nearly so. Every engine keeps its r >= 8 uniform directions, so only
+    // decoded views lacking them get here. Split the gap evenly with
+    // bounding lines at offset 4m, past the m / cos(pi/4) radius of any
+    // region without such a gap (a single sample's gap is the full turn).
+    const Direction& a = samples[i].direction;
+    const Direction::Gap gap = a.CcwGapTo(samples[(i + 1) % n].direction);
+    const uint64_t turn = uint64_t{a.base_r()} << gap.level;
+    const uint64_t units = gap.units == 0 ? turn : gap.units;
+    const uint64_t pieces = (4 * units + turn - 1) / turn;
+    const double step =
+        Direction::Gap{units, gap.level}.Radians(a.base_r()) /
+        static_cast<double>(pieces);
+    for (uint64_t j = 1; j < pieces; ++j) {
+      const double angle = lines[i].angle + step * static_cast<double>(j);
+      if (!add({UnitVector(angle), 4 * m, angle})) return ConvexPolygon();
+    }
   }
-  std::vector<Point2> poly(xs.size());
-  for (size_t j = 0; j < xs.size(); ++j) poly[j] = Point2{xs[j], ys[j]};
-  return ConvexPolygon(ConvexHullOf(std::move(poly)));
+  // Close the ring: the last lines may cut the first vertex and vice versa.
+  while (dq.size() - head >= 3 &&
+         outside(Meet(dq[dq.size() - 2], dq.back()), dq[head])) {
+    dq.pop_back();
+  }
+  while (dq.size() - head >= 3 &&
+         outside(Meet(dq[head], dq[head + 1]), dq.back())) {
+    ++head;
+  }
+  if (dq.size() - head < 3 ||
+      dq[head].angle + 2 * kPi - dq.back().angle >= kPi) {
+    return ConvexPolygon();
+  }
+
+  // Adjacent surviving lines meet at the polygon's vertices. Only the
+  // closing pair can be numerically parallel; its neighbours' vertices
+  // then bound that edge. Coordinates near the top of the double range
+  // overflow to vertices no finite polygon holds: the result is empty then.
+  std::vector<Point2> vertices;
+  vertices.reserve(dq.size() - head);
+  for (size_t i = head; i < dq.size(); ++i) {
+    const HalfPlane& next = i + 1 < dq.size() ? dq[i + 1] : dq[head];
+    if (Cross(dq[i].u, next.u) <= 0) continue;
+    const Point2 v = c + Meet(dq[i], next);
+    if (!std::isfinite(v.x) || !std::isfinite(v.y)) return ConvexPolygon();
+    vertices.push_back(v);
+  }
+  return ConvexPolygon(ConvexHullOf(std::move(vertices)));
 }
 
 }  // namespace streamhull

@@ -373,8 +373,12 @@ double MaxTriangleHeight(const std::vector<UncertaintyTriangle>& triangles);
 /// over a summary's samples (u_i the i-th sample direction, s_i its stored
 /// point). With all-zero slacks this is the inner polygon extended by its
 /// uncertainty triangles — the generic construction behind OuterPolygon().
+/// One O(n) pass over the samples (DESIGN.md, "Building the outer
+/// polygon"). Where adjacent sample directions are more than a quarter turn
+/// apart (decoded views only), bounding lines keep the result finite.
+/// Returns an empty polygon when the half-planes share no point.
 /// \param samples the active samples in CCW direction order (as returned
-///        by HullEngine::Samples()).
+///        by HullEngine::Samples()), all over one base r.
 /// \param slacks per-sample outward offsets; empty means all zero,
 ///        otherwise must match samples in length.
 ConvexPolygon SupportIntersection(const std::vector<HullSample>& samples,

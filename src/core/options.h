@@ -99,7 +99,28 @@ struct AdaptiveHullStats {
   /// running maximum (the paper argues this cannot happen; the implementation
   /// guards the invariant with a running max and counts any violation here).
   uint64_t perimeter_decreases = 0;
+
+  /// Field-wise sum: how the windowed engine totals its buckets and a
+  /// StreamGroup totals its streams.
+  AdaptiveHullStats& operator+=(const AdaptiveHullStats& o) {
+    points_processed += o.points_processed;
+    points_discarded += o.points_discarded;
+    directions_refined += o.directions_refined;
+    directions_unrefined += o.directions_unrefined;
+    vertices_deleted += o.vertices_deleted;
+    batches += o.batches;
+    batch_prefilter_rejections += o.batch_prefilter_rejections;
+    batch_simd_rejections += o.batch_simd_rejections;
+    batch_scalar_rejections += o.batch_scalar_rejections;
+    batch_cache_refreshes += o.batch_cache_refreshes;
+    rebuild_nodes_visited += o.rebuild_nodes_visited;
+    rebalance_exchanges += o.rebalance_exchanges;
+    perimeter_decreases += o.perimeter_decreases;
+    return *this;
+  }
 };
+static_assert(sizeof(AdaptiveHullStats) == 13 * sizeof(uint64_t),
+              "AdaptiveHullStats changed: update operator+=");
 
 }  // namespace streamhull
 

@@ -11,24 +11,6 @@ namespace streamhull {
 
 namespace {
 
-// Field-wise sum of the operation counters: the windowed engine's stats()
-// is the sum over its (alive and retired) buckets.
-void AccumulateStats(AdaptiveHullStats* into, const AdaptiveHullStats& from) {
-  into->points_processed += from.points_processed;
-  into->points_discarded += from.points_discarded;
-  into->directions_refined += from.directions_refined;
-  into->directions_unrefined += from.directions_unrefined;
-  into->vertices_deleted += from.vertices_deleted;
-  into->batches += from.batches;
-  into->batch_prefilter_rejections += from.batch_prefilter_rejections;
-  into->batch_simd_rejections += from.batch_simd_rejections;
-  into->batch_scalar_rejections += from.batch_scalar_rejections;
-  into->batch_cache_refreshes += from.batch_cache_refreshes;
-  into->rebuild_nodes_visited += from.rebuild_nodes_visited;
-  into->rebalance_exchanges += from.rebalance_exchanges;
-  into->perimeter_decreases += from.perimeter_decreases;
-}
-
 // Whether a bucket's expiry passes through a straddling phase at all: a
 // bucket whose positional (or temporal) extent is a single point crosses the
 // window boundary in one step, full -> dropped. Used to charge the straddle
@@ -94,7 +76,7 @@ void WindowedHullEngine::ExpireFront() {
         epochs = 2;
       }
       expiry_epochs_ += epochs;
-      AccumulateStats(&retired_stats_, front.engine->stats());
+      retired_stats_ += front.engine->stats();
       buckets_.pop_front();
       ++buckets_dropped_;
       continue;
@@ -396,7 +378,7 @@ double WindowedHullEngine::ErrorBound() const {
 const AdaptiveHullStats& WindowedHullEngine::stats() const {
   stats_cache_ = retired_stats_;
   for (const Bucket& b : buckets_) {
-    AccumulateStats(&stats_cache_, b.engine->stats());
+    stats_cache_ += b.engine->stats();
   }
   return stats_cache_;
 }

@@ -119,9 +119,9 @@ inline std::vector<Point2> CompressClosedRuns(std::vector<Point2> verts) {
 ///     { x : dot(x - anchor, normal) <= 0 }
 ///
 /// boundary inclusive. Crossing points are interpolated parametrically on
-/// the clipped edges. The shared clipping kernel behind convex
-/// intersection (queries/) and the supporting-half-plane construction
-/// (core/), so robustness tweaks land in one place.
+/// the clipped edges. The clipping step behind convex intersection
+/// (queries/), and the box-clip reference the tests hold
+/// SupportIntersection (core/hull_engine.h) against.
 void ClipByHalfPlane(std::vector<Point2>* subject, Point2 anchor,
                      Point2 normal);
 

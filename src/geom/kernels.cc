@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/check.h"
@@ -56,16 +55,6 @@ void CertifyInteriorBatchScalar(const PolygonEdgeSoA& poly, const Point2* pts,
   }
 }
 
-void SignedOffsetsScalar(const double* xs, const double* ys, size_t n,
-                         double ax, double ay, double nx, double ny,
-                         double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const double t1 = (xs[i] - ax) * nx;
-    const double t2 = (ys[i] - ay) * ny;
-    out[i] = t1 + t2;
-  }
-}
-
 }  // namespace internal
 
 namespace {
@@ -85,16 +74,9 @@ SimdIsa DetectBestIsa() {
   return SimdIsa::kScalar;
 }
 
-// Resolved once per process: the environment escape hatch, then CPUID.
+// Resolved once per process from CPUID.
 SimdIsa AutoIsa() {
-  static const SimdIsa isa = [] {
-    const char* env = std::getenv("STREAMHULL_DISABLE_SIMD");
-    if (env != nullptr && env[0] != '\0' &&
-        !(env[0] == '0' && env[1] == '\0')) {
-      return SimdIsa::kScalar;
-    }
-    return DetectBestIsa();
-  }();
+  static const SimdIsa isa = DetectBestIsa();
   return isa;
 }
 
@@ -149,25 +131,6 @@ void CertifyInteriorBatch(const PolygonEdgeSoA& poly, const Point2* pts,
 #endif
     default:
       internal::CertifyInteriorBatchScalar(poly, pts, n, out);
-      return;
-  }
-}
-
-void SignedOffsets(const double* xs, const double* ys, size_t n, double ax,
-                   double ay, double nx, double ny, double* out) {
-  switch (ActiveSimdIsa()) {
-#if defined(STREAMHULL_HAVE_AVX2)
-    case SimdIsa::kAvx2:
-      internal::SignedOffsetsAvx2(xs, ys, n, ax, ay, nx, ny, out);
-      return;
-#endif
-#if defined(STREAMHULL_HAVE_NEON)
-    case SimdIsa::kNeon:
-      internal::SignedOffsetsNeon(xs, ys, n, ax, ay, nx, ny, out);
-      return;
-#endif
-    default:
-      internal::SignedOffsetsScalar(xs, ys, n, ax, ay, nx, ny, out);
       return;
   }
 }

@@ -1,10 +1,9 @@
 // streamhull: vectorized geometry kernels with runtime ISA dispatch.
 //
-// The two hottest loops in the library — the batched-ingestion interior
-// prefilter (core/adaptive_hull.cc) and the half-plane clipping behind
-// SupportIntersection (core/hull_engine.cc) — are data-parallel over
-// points. This module provides them as lane kernels over the SoA layouts
-// of geom/soa.h, with three implementations selected once at runtime:
+// The hottest loop in the library, the batched-ingestion interior
+// prefilter (core/adaptive_hull.cc), is data-parallel over points. This
+// module provides it as a lane kernel over the SoA layout of geom/soa.h,
+// with three implementations selected once at runtime:
 //
 //   * kScalar — portable C++, compiled with FP contraction disabled so its
 //     results are bit-identical to the intrinsic paths (the intrinsic
@@ -14,12 +13,10 @@
 //   * kNeon   — aarch64 NEON, 2 doubles per register (kernels_neon.cc).
 //
 // Dispatch policy, in priority order:
-//   1. the STREAMHULL_DISABLE_SIMD *compile* option removes the intrinsic
-//      TUs entirely (CMake) — only kScalar exists;
-//   2. the STREAMHULL_DISABLE_SIMD *environment variable* (any value other
-//      than empty or "0") forces kScalar at process start;
-//   3. ForceSimdIsa() overrides the choice at runtime (test support);
-//   4. otherwise the best ISA the CPU supports wins.
+//   1. the STREAMHULL_DISABLE_SIMD CMake option removes the intrinsic TUs
+//      entirely — only kScalar exists;
+//   2. ForceSimdIsa() overrides the choice at runtime (test support);
+//   3. otherwise the best ISA the CPU supports wins.
 //
 // Every implementation of a kernel computes the same IEEE expression tree,
 // so the choice of ISA never changes a result bit — the differential
@@ -52,8 +49,7 @@ const char* SimdIsaName(SimdIsa isa);
 bool SimdIsaAvailable(SimdIsa isa);
 
 /// \brief The ISA the kernels currently dispatch to: the forced override
-/// if one is set, otherwise the best available ISA (kScalar when the
-/// STREAMHULL_DISABLE_SIMD environment variable is set). Thread-safe.
+/// if one is set, otherwise the best available ISA. Thread-safe.
 SimdIsa ActiveSimdIsa();
 
 /// \brief Forces all kernels onto \p isa until ClearForcedSimdIsa()
@@ -84,40 +80,21 @@ void ClearForcedSimdIsa();
 void CertifyInteriorBatch(const PolygonEdgeSoA& poly, const Point2* pts,
                           size_t n, uint8_t* out);
 
-/// \brief Signed half-plane offsets — the SoA inner loop of
-/// SupportIntersection's clipping. For each i:
-///
-///     out[i] = (xs[i] - ax) * nx + (ys[i] - ay) * ny
-///
-/// exactly the expression ClipByHalfPlane evaluates per vertex, so the
-/// vectorized clip reproduces the scalar clip bit-for-bit.
-void SignedOffsets(const double* xs, const double* ys, size_t n, double ax,
-                   double ay, double nx, double ny, double* out);
-
 namespace internal {
 
 /// Portable implementations (always compiled; the intrinsic TUs call them
 /// for remainders). Identical results to the dispatched kernels.
 void CertifyInteriorBatchScalar(const PolygonEdgeSoA& poly, const Point2* pts,
                                 size_t n, uint8_t* out);
-void SignedOffsetsScalar(const double* xs, const double* ys, size_t n,
-                         double ax, double ay, double nx, double ny,
-                         double* out);
 
 #if defined(STREAMHULL_HAVE_AVX2)
 void CertifyInteriorBatchAvx2(const PolygonEdgeSoA& poly, const Point2* pts,
                               size_t n, uint8_t* out);
-void SignedOffsetsAvx2(const double* xs, const double* ys, size_t n,
-                       double ax, double ay, double nx, double ny,
-                       double* out);
 #endif
 
 #if defined(STREAMHULL_HAVE_NEON)
 void CertifyInteriorBatchNeon(const PolygonEdgeSoA& poly, const Point2* pts,
                               size_t n, uint8_t* out);
-void SignedOffsetsNeon(const double* xs, const double* ys, size_t n,
-                       double ax, double ay, double nx, double ny,
-                       double* out);
 #endif
 
 }  // namespace internal

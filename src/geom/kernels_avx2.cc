@@ -103,25 +103,6 @@ void CertifyInteriorBatchAvx2(const PolygonEdgeSoA& poly, const Point2* pts,
   if (i < n) CertifyInteriorBatchScalar(poly, pts + i, n - i, out + i);
 }
 
-void SignedOffsetsAvx2(const double* xs, const double* ys, size_t n,
-                       double ax, double ay, double nx, double ny,
-                       double* out) {
-  const __m256d vax = _mm256_set1_pd(ax);
-  const __m256d vay = _mm256_set1_pd(ay);
-  const __m256d vnx = _mm256_set1_pd(nx);
-  const __m256d vny = _mm256_set1_pd(ny);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vx = _mm256_loadu_pd(xs + i);
-    const __m256d vy = _mm256_loadu_pd(ys + i);
-    const __m256d t1 = _mm256_mul_pd(_mm256_sub_pd(vx, vax), vnx);
-    const __m256d t2 = _mm256_mul_pd(_mm256_sub_pd(vy, vay), vny);
-    _mm256_storeu_pd(out + i, _mm256_add_pd(t1, t2));
-  }
-  if (i < n) SignedOffsetsScalar(xs + i, ys + i, n - i, ax, ay, nx, ny,
-                                 out + i);
-}
-
 }  // namespace internal
 }  // namespace streamhull
 

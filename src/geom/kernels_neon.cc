@@ -78,25 +78,6 @@ void CertifyInteriorBatchNeon(const PolygonEdgeSoA& poly, const Point2* pts,
   if (i < n) CertifyInteriorBatchScalar(poly, pts + i, n - i, out + i);
 }
 
-void SignedOffsetsNeon(const double* xs, const double* ys, size_t n,
-                       double ax, double ay, double nx, double ny,
-                       double* out) {
-  const float64x2_t vax = vdupq_n_f64(ax);
-  const float64x2_t vay = vdupq_n_f64(ay);
-  const float64x2_t vnx = vdupq_n_f64(nx);
-  const float64x2_t vny = vdupq_n_f64(ny);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t vx = vld1q_f64(xs + i);
-    const float64x2_t vy = vld1q_f64(ys + i);
-    const float64x2_t t1 = vmulq_f64(vsubq_f64(vx, vax), vnx);
-    const float64x2_t t2 = vmulq_f64(vsubq_f64(vy, vay), vny);
-    vst1q_f64(out + i, vaddq_f64(t1, t2));
-  }
-  if (i < n) SignedOffsetsScalar(xs + i, ys + i, n - i, ax, ay, nx, ny,
-                                 out + i);
-}
-
 }  // namespace internal
 }  // namespace streamhull
 

@@ -192,17 +192,12 @@ bool StreamGroup::IsRemote(const std::string& name) const {
   return it != streams_.end() && it->second.remote();
 }
 
-Status StreamGroup::View(const std::string& name, SummaryView* out) const {
-  auto it = streams_.find(name);
-  if (it == streams_.end()) {
+Status StreamGroup::View(const std::string& name, SummaryView* out) {
+  const SummaryView* view = MaterializeView(name);
+  if (view == nullptr) {
     return Status::InvalidArgument("unknown stream '" + name + "'");
   }
-  if (it->second.remote()) {
-    *out = it->second.remote_updates == 0 ? SummaryView()
-                                          : it->second.remote_decoded.View();
-  } else {
-    *out = SummaryView(*it->second.engine);
-  }
+  *out = *view;
   return Status::OK();
 }
 
@@ -217,20 +212,7 @@ AdaptiveHullStats StreamGroup::AggregateIngestStats() const {
   AdaptiveHullStats total;
   for (const auto& [name, entry] : streams_) {
     if (entry.remote()) continue;
-    const AdaptiveHullStats& s = entry.engine->stats();
-    total.points_processed += s.points_processed;
-    total.points_discarded += s.points_discarded;
-    total.directions_refined += s.directions_refined;
-    total.directions_unrefined += s.directions_unrefined;
-    total.vertices_deleted += s.vertices_deleted;
-    total.batches += s.batches;
-    total.batch_prefilter_rejections += s.batch_prefilter_rejections;
-    total.batch_simd_rejections += s.batch_simd_rejections;
-    total.batch_scalar_rejections += s.batch_scalar_rejections;
-    total.batch_cache_refreshes += s.batch_cache_refreshes;
-    total.rebuild_nodes_visited += s.rebuild_nodes_visited;
-    total.rebalance_exchanges += s.rebalance_exchanges;
-    total.perimeter_decreases += s.perimeter_decreases;
+    total += entry.engine->stats();
   }
   return total;
 }

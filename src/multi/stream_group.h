@@ -284,8 +284,10 @@ class StreamGroup {
 
   /// The named stream's inner/outer sandwich for ad-hoc certified queries
   /// (local: built from the live engine; remote: the last decoded view).
+  /// Served from the same per-generation cache as Poll() and Report(), so
+  /// repeated queries of an unchanged stream derive its geometry once.
   /// Fails on unknown names.
-  Status View(const std::string& name, SummaryView* out) const;
+  Status View(const std::string& name, SummaryView* out);
 
   /// Registered stream names, sorted.
   std::vector<std::string> StreamNames() const;

@@ -33,10 +33,10 @@
 //                           sockets), the reusable DeltaSender producer
 //                           state machine, and the multi-tenant
 //                           ingest/query server core
-//   geom/kernels.h          the vectorized geometry kernels behind the
-//                           ingestion prefilter and the clip loop, with
-//                           the runtime ISA dispatch controls
-//                           (ActiveSimdIsa, ForceSimdIsa)
+//   geom/kernels.h          the vectorized geometry kernel behind the
+//                           ingestion prefilter, with the runtime ISA
+//                           dispatch controls (ActiveSimdIsa,
+//                           ForceSimdIsa)
 //   stream/generators.h     deterministic synthetic workloads
 //
 // Individual headers remain includable on their own; this umbrella exists

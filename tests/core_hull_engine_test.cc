@@ -4,6 +4,9 @@
 // the stream must leave every engine in exactly the state point-at-a-time
 // insertion produces, and CheckConsistency must hold after every batch.
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <memory>
 #include <span>
 #include <string>
@@ -13,6 +16,8 @@
 
 #include "common/rng.h"
 #include "core/hull_engine.h"
+#include "core/snapshot.h"
+#include "geom/convex_hull.h"
 #include "stream/generators.h"
 
 namespace streamhull {
@@ -324,6 +329,285 @@ TEST(HullEngineTest, PrefilterRejectsInteriorPoints) {
   EXPECT_EQ(stats.batches, 2u);
   EXPECT_GT(stats.batch_prefilter_rejections, 1500u);
   EXPECT_TRUE(engine->CheckConsistency().ok());
+}
+
+constexpr double kTwoPi = 6.283185307179586476925286766559;
+
+// Support by vertex scan: a containment check must not lean on the
+// polygon's own O(log n) extreme-vertex search. Requires a non-empty poly.
+double SupportBrute(const ConvexPolygon& poly, Point2 u) {
+  return Dot(poly[poly.ExtremeVertexBrute(u)], u);
+}
+
+Point2 ProbeDirection(int k, int count) {
+  return UnitVector(kTwoPi * k / count + 0.0123);
+}
+
+// The point sets of the scale sweep, at unit scale and centred near the
+// origin: every kind of degeneracy an outer polygon meets in practice.
+std::vector<NamedStream> DegenerateShapes(size_t n) {
+  std::vector<NamedStream> shapes;
+  shapes.push_back({"square", SquareGenerator(41, 0.3).Take(n)});
+  shapes.push_back({"circle", CircleGenerator(42, 64).Take(n)});
+  std::vector<Point2> strip = DiskGenerator(43).Take(n);
+  for (Point2& p : strip) p.y *= 1e-9;
+  shapes.push_back({"strip", strip});
+  std::vector<Point2> pair;
+  for (size_t i = 0; i < n; ++i) {
+    pair.push_back(i % 2 == 0 ? Point2{-0.6, -0.2} : Point2{0.7, 0.4});
+  }
+  shapes.push_back({"two-points", pair});
+  shapes.push_back({"one-point", std::vector<Point2>(n, Point2{0.3, -0.7})});
+  return shapes;
+}
+
+EngineOptions SweepOpts(EngineKind kind, uint32_t r) {
+  EngineOptions o = Opts(r);
+  o.training_points = 100;
+  // A window shorter than the stream, so expiry and the bucket merge run.
+  if (kind == EngineKind::kWindowed) o.window_points = 200;
+  return o;
+}
+
+// The outer polygon's support never falls below a sample's own support, at
+// any scale the wire admits: rounding may loosen the polygon, never cut into
+// it. The sweep covers magnitudes where an absolute padding or tolerance
+// would dominate (1e-150) or vanish (1e150) against the summary's extent.
+TEST(SupportIntersectionTest, OuterCoversSamplesAtEveryScale) {
+  const auto shapes = DegenerateShapes(300);
+  for (EngineKind kind : AllEngineKinds()) {
+    for (uint32_t r : {8u, 32u, 128u}) {
+      for (const NamedStream& shape : shapes) {
+        for (double scale : {1e-150, 1e-100, 1e-20, 1.0, 1e8, 1e150}) {
+          auto engine = MakeEngine(kind, SweepOpts(kind, r));
+          std::vector<Point2> pts = shape.points;
+          for (Point2& p : pts) p = p * scale;
+          engine->InsertBatch(pts);
+          const ConvexPolygon outer = engine->OuterPolygon();
+          const std::string context =
+              std::string(EngineKindName(kind)) + " r=" + std::to_string(r) +
+              " " + shape.name +
+              " scale=1e" + std::to_string(std::lround(std::log10(scale)));
+          ASSERT_FALSE(outer.empty()) << context;
+          const auto samples = engine->Samples();
+          for (int k = 0; k < 256; ++k) {
+            const Point2 u = ProbeDirection(k, 256);
+            double want = -INFINITY;
+            for (const HullSample& s : samples) {
+              want = std::max(want, Dot(s.point, u));
+            }
+            ASSERT_GE(SupportBrute(outer, u), want - 4e-12 * scale)
+                << context << " probe " << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The reference construction: clip a box that strictly contains the region
+// by every relaxed half-plane in turn. O(r^2), but each step is one
+// ClipByHalfPlane, so it is easy to trust.
+ConvexPolygon BoxClipReference(const std::vector<HullSample>& samples,
+                               std::span<const double> slacks) {
+  double reach = 0;
+  for (const HullSample& s : samples) {
+    reach = std::max({reach, std::abs(s.point.x), std::abs(s.point.y)});
+  }
+  for (double slack : slacks) reach = std::max(reach, slack);
+  const double h = 16 * (reach + 1);
+  std::vector<Point2> poly = {{-h, -h}, {h, -h}, {h, h}, {-h, h}};
+  for (size_t i = 0; i < samples.size(); ++i) {
+    const Point2 u = samples[i].direction.ToVector();
+    const double slack = slacks.empty() ? 0.0 : slacks[i];
+    ClipByHalfPlane(&poly, samples[i].point + u * slack, u);
+  }
+  return ConvexPolygon(ConvexHullOf(std::move(poly)));
+}
+
+// Tightness: the sorted pass drops exactly the redundant lines, so its
+// polygon is the box-clip reference's up to rounding — not merely a
+// superset of the samples.
+TEST(SupportIntersectionTest, MatchesBoxClipReference) {
+  const auto streams = TestStreams(2000);
+  for (const EngineConfig& config : TestConfigs()) {
+    for (uint32_t r : {8u, 32u, 128u}) {
+      for (const NamedStream& stream : streams) {
+        EngineOptions o = config.options;
+        o.hull.r = r;
+        auto engine = MakeEngine(config.kind, o);
+        engine->InsertBatch(stream.points);
+        const auto samples = engine->Samples();
+        const auto slacks = engine->SampleSlacks();
+        const ConvexPolygon got = SupportIntersection(samples, slacks);
+        const ConvexPolygon want = BoxClipReference(samples, slacks);
+        const std::string context =
+            config.name + " r=" + std::to_string(r) + " " + stream.name;
+        ASSERT_FALSE(got.empty()) << context;
+        double scale = 1.0;
+        for (const HullSample& s : samples) {
+          scale = std::max(scale, std::abs(s.point.x) + std::abs(s.point.y));
+        }
+        for (int k = 0; k < 256; ++k) {
+          const Point2 u = ProbeDirection(k, 256);
+          ASSERT_NEAR(SupportBrute(got, u), SupportBrute(want, u),
+                      1e-9 * scale)
+              << context << " probe " << k;
+        }
+      }
+    }
+  }
+}
+
+// A decoded view as the wire delivers it: the fields are encoded and
+// decoded again, so every case below is one DecodeSummaryView accepts.
+DecodedSummaryView WireView(uint32_t r, std::vector<HullSample> samples,
+                            std::vector<double> slacks) {
+  DecodedSummaryView view;
+  view.kind = EngineKind::kAdaptive;
+  view.r = r;
+  view.num_points = samples.size();
+  view.generation = view.num_points;
+  view.samples = std::move(samples);
+  view.slacks = std::move(slacks);
+  DecodedSummaryView decoded;
+  EXPECT_TRUE(DecodeSummaryView(EncodeSummaryView(view), &decoded).ok());
+  return decoded;
+}
+
+// Finite vertices in strictly convex CCW order.
+void ExpectFiniteConvexCcw(const ConvexPolygon& poly,
+                           const std::string& context) {
+  for (const Point2& v : poly.vertices()) {
+    EXPECT_TRUE(std::isfinite(v.x) && std::isfinite(v.y)) << context;
+  }
+  const size_t n = poly.size();
+  if (n < 3) return;
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_GT(Orient(poly[i], poly.At(i + 1), poly.At(i + 2)), 0)
+        << context << " vertex " << i;
+  }
+}
+
+// Views no engine produces: a decoded view need not hold the r uniform
+// directions, so the angular gaps between its samples can reach a full
+// turn. The outer polygon must still be a finite convex CCW polygon that
+// keeps the samples — and empty when the half-planes share no point.
+TEST(SupportIntersectionTest, HostileDecodedViews) {
+  const uint32_t r = 16;
+  auto sample = [r](uint32_t j, Point2 p) {
+    return HullSample{Direction::Uniform(j, r), p};
+  };
+  auto keeps_samples = [](const DecodedSummaryView& view,
+                          const ConvexPolygon& outer,
+                          const std::string& context) {
+    for (const HullSample& s : view.samples) {
+      for (int k = 0; k < 64; ++k) {
+        const Point2 u = ProbeDirection(k, 64);
+        EXPECT_GE(SupportBrute(outer, u), Dot(s.point, u) - 1e-12)
+            << context << " probe " << k;
+      }
+    }
+  };
+
+  for (double slack : {0.0, 0.25}) {
+    const std::string context = "single sample, slack " +
+                                std::to_string(slack);
+    const DecodedSummaryView view = WireView(r, {sample(3, {2, -1})}, {slack});
+    const ConvexPolygon outer = view.Outer();
+    ASSERT_FALSE(outer.empty()) << context;
+    ExpectFiniteConvexCcw(outer, context);
+    keeps_samples(view, outer, context);
+    // The one real half-plane still bounds the polygon.
+    const Point2 u = view.samples[0].direction.ToVector();
+    EXPECT_LE(SupportBrute(outer, u), Dot(Point2{2, -1}, u) + slack + 1e-12)
+        << context;
+  }
+  {
+    const std::string context = "opposite pair";
+    const DecodedSummaryView view =
+        WireView(r, {sample(0, {1, 0.5}), sample(8, {-1, 0.5})}, {0, 0});
+    const ConvexPolygon outer = view.Outer();
+    ASSERT_FALSE(outer.empty()) << context;
+    ExpectFiniteConvexCcw(outer, context);
+    keeps_samples(view, outer, context);
+    EXPECT_LE(SupportBrute(outer, {1, 0}), 1 + 1e-12) << context;
+    EXPECT_LE(SupportBrute(outer, {-1, 0}), 1 + 1e-12) << context;
+  }
+  {
+    // Five unit-circle samples spanning a quarter turn; the rest of the
+    // circle is one gap of three quarters.
+    const std::string context = "wide gap";
+    std::vector<HullSample> samples;
+    for (uint32_t j = 0; j <= 4; ++j) {
+      samples.push_back(sample(j, Direction::Uniform(j, r).ToVector()));
+    }
+    const DecodedSummaryView view =
+        WireView(r, samples, std::vector<double>(samples.size(), 0.0));
+    const ConvexPolygon outer = view.Outer();
+    ASSERT_FALSE(outer.empty()) << context;
+    ExpectFiniteConvexCcw(outer, context);
+    keeps_samples(view, outer, context);
+    for (const HullSample& s : view.samples) {
+      const Point2 u = s.direction.ToVector();
+      EXPECT_LE(SupportBrute(outer, u), Dot(s.point, u) + 1e-12) << context;
+    }
+  }
+  {
+    // x <= -1 and x >= 1: no common point.
+    const std::string context = "infeasible pair";
+    const DecodedSummaryView view =
+        WireView(r, {sample(0, {-1, 0}), sample(8, {1, 0})}, {0, 0});
+    EXPECT_TRUE(view.Outer().empty()) << context;
+    // Slack that closes the gap leaves the slab -0.5 <= x <= 0.5.
+    const DecodedSummaryView closed =
+        WireView(r, {sample(0, {-1, 0}), sample(8, {1, 0})}, {1.5, 1.5});
+    const ConvexPolygon outer = closed.Outer();
+    ASSERT_FALSE(outer.empty()) << context;
+    ExpectFiniteConvexCcw(outer, context);
+    EXPECT_TRUE(outer.Contains({0, 0})) << context;
+    EXPECT_NEAR(SupportBrute(outer, {1, 0}), 0.5, 1e-12) << context;
+    EXPECT_NEAR(SupportBrute(outer, {-1, 0}), 0.5, 1e-12) << context;
+  }
+  {
+    // Finite on the wire, but their sums and differences overflow.
+    const std::string context = "coordinates near the double range limit";
+    std::vector<HullSample> samples;
+    for (uint32_t j = 0; j < r; ++j) {
+      samples.push_back(sample(j, Direction::Uniform(j, r).ToVector() * 1.5e308));
+    }
+    const DecodedSummaryView view =
+        WireView(r, samples, std::vector<double>(r, 0.0));
+    ExpectFiniteConvexCcw(view.Outer(), context);
+  }
+}
+
+// The construction is one pass over the samples: a decoded view at the
+// wire's sample budget, 65,536 samples (a 2.36 MB frame), builds its outer
+// polygon in well under the bound. A quadratic clip loop takes seconds.
+TEST(SupportIntersectionTest, LargeDecodedViewBuildsInLinearTime) {
+  const uint32_t r = 65536;
+  std::vector<HullSample> samples;
+  samples.reserve(r);
+  for (uint32_t j = 0; j < r; ++j) {
+    const Direction d = Direction::Uniform(j, r);
+    samples.push_back(HullSample{d, d.ToVector()});
+  }
+  const DecodedSummaryView view =
+      WireView(r, std::move(samples), std::vector<double>(r, 0.0));
+  ASSERT_EQ(view.samples.size(), r);
+  const auto start = std::chrono::steady_clock::now();
+  const ConvexPolygon outer = view.Outer();
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 5.0);
+  ASSERT_FALSE(outer.empty());
+  for (int k = 0; k < 64; ++k) {
+    const Point2 u = ProbeDirection(k, 64);
+    EXPECT_GE(SupportBrute(outer, u), 1 - 1e-12);
+    EXPECT_LE(SupportBrute(outer, u), 1 + 1e-8);
+  }
 }
 
 }  // namespace

@@ -255,33 +255,6 @@ TEST(CertifyInteriorBatchTest, DispatchedMatchesScalarBitwise) {
   }
 }
 
-TEST(SignedOffsetsTest, MatchesScalarExpressionExactly) {
-  Rng rng(777);
-  const size_t n = 129;  // Exercises every vector tail.
-  std::vector<double> xs(n), ys(n), got(n), want(n);
-  for (size_t i = 0; i < n; ++i) {
-    xs[i] = rng.Uniform(-1e6, 1e6);
-    ys[i] = rng.Uniform(-1e6, 1e6);
-  }
-  const double ax = 0.125, ay = -3.5, nx = 0.6, ny = -0.8;
-  SignedOffsets(xs.data(), ys.data(), n, ax, ay, nx, ny, got.data());
-  for (size_t i = 0; i < n; ++i) {
-    const double t1 = (xs[i] - ax) * nx;
-    const double t2 = (ys[i] - ay) * ny;
-    want[i] = t1 + t2;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    // Bitwise: the kernel contract is the exact IEEE expression tree.
-    ASSERT_EQ(got[i], want[i]) << i;
-  }
-  if (ActiveSimdIsa() != SimdIsa::kScalar) {
-    std::vector<double> scalar(n);
-    ScopedForcedIsa forced(SimdIsa::kScalar);
-    SignedOffsets(xs.data(), ys.data(), n, ax, ay, nx, ny, scalar.data());
-    for (size_t i = 0; i < n; ++i) ASSERT_EQ(got[i], scalar[i]) << i;
-  }
-}
-
 TEST(SimdDispatchTest, ScalarIsAlwaysAvailable) {
   EXPECT_TRUE(SimdIsaAvailable(SimdIsa::kScalar));
   EXPECT_STREQ(SimdIsaName(SimdIsa::kScalar), "scalar");

@@ -643,6 +643,42 @@ TEST(StreamGroupRemoteTest, RemoteStreamRunsOnDeltasAfterOneFullFrame) {
             CertifiedDiameter(truth).value.hi);
 }
 
+// View serves the same per-generation cache as Poll and Report: repeated
+// ad-hoc queries of an unchanged stream derive its sandwich once, and every
+// applied frame makes the next View rebuild it.
+TEST(StreamGroupRemoteTest, ViewServesThePerGenerationCache) {
+  AdaptiveHull producer(Opts());
+  DiskGenerator gen(93);
+  producer.InsertBatch(gen.Take(500));
+
+  StreamGroup sink(Opts());
+  ASSERT_TRUE(sink.AddRemoteStream("remote").ok());
+  ASSERT_TRUE(sink.UpdateRemoteStream("remote", producer.EncodeView()).ok());
+
+  const uint64_t before = sink.view_materializations();
+  SummaryView first, second;
+  ASSERT_TRUE(sink.View("remote", &first).ok());
+  ASSERT_TRUE(sink.View("remote", &second).ok());
+  EXPECT_EQ(sink.view_materializations() - before, 1u)
+      << "an unchanged stream's sandwich is built once";
+  EXPECT_EQ(CertifiedDiameter(first).value.hi,
+            CertifiedDiameter(second).value.hi);
+
+  producer.InsertBatch(gen.Take(200));
+  std::string delta;
+  ASSERT_TRUE(producer.EncodeSummaryDelta(500, &delta).ok());
+  ASSERT_TRUE(sink.UpdateRemoteStream("remote", delta).ok());
+  SummaryView third;
+  ASSERT_TRUE(sink.View("remote", &third).ok());
+  EXPECT_EQ(sink.view_materializations() - before, 2u)
+      << "an applied frame invalidates the cached sandwich";
+  const SummaryView truth(producer.Polygon(), producer.OuterPolygon());
+  EXPECT_EQ(CertifiedDiameter(third).value.lo,
+            CertifiedDiameter(truth).value.lo);
+  EXPECT_EQ(CertifiedDiameter(third).value.hi,
+            CertifiedDiameter(truth).value.hi);
+}
+
 TEST(StreamGroupRemoteTest, GenerationGapSurfacesAndFullFrameRecovers) {
   AdaptiveHull producer(Opts());
   DiskGenerator gen(92);

@@ -230,9 +230,9 @@ TEST(SimdDifferentialTest, AdversarialStreamsByteIdentical) {
   }
 }
 
-// Query-side determinism: OuterPolygon runs the SoA clip loop through the
-// SignedOffsets kernel; its vertices must be bitwise equal under scalar
-// and native dispatch.
+// Query-side determinism: OuterPolygon is one scalar construction that
+// calls no kernel; its vertices must be bitwise equal under scalar and
+// native dispatch.
 TEST(SimdDifferentialTest, OuterPolygonBitwiseEqualAcrossIsas) {
   for (const Config& config : Configs(32)) {
     auto engine = MakeEngine(config.kind, config.options);

@@ -27,7 +27,10 @@ depends on which ISA the runner dispatches to.
 
 A missing baseline (first run on a branch, cache evicted) is not an
 error: the gate prints a notice and passes, and the main-branch job saves
-the fresh baseline for the next run.
+the fresh baseline for the next run. The reverse, a baseline row or file
+with no counterpart in this run, is printed as "absent from this run (gate
+dropped)" so a deleted benchmark cannot drop its gate silently; it does not
+fail the gate, because deleting a benchmark is legitimate.
 
 Usage:
   bench_compare.py --baseline DIR --current DIR [--threshold 0.25]
@@ -73,6 +76,8 @@ def load_benchmarks(path):
 def compare_file(name, baseline, current, threshold):
     """Compares one JSON file pair; returns a list of failure strings."""
     failures = []
+    for bench in sorted(baseline.keys() - current.keys()):
+        print(f"  {bench}: absent from this run (gate dropped)")
     for bench, cur in sorted(current.items()):
         base = baseline.get(bench)
         if base is None:
@@ -183,6 +188,11 @@ def main():
         failures += compare_file(cur_path.name, load_benchmarks(base_path),
                                  load_benchmarks(cur_path), args.threshold)
         compared += 1
+
+    current_names = {path.name for path in current_files}
+    for base_path in sorted(args.baseline.glob("BENCH_*.json")):
+        if base_path.name not in current_names:
+            print(f"{base_path.name}: absent from this run (gate dropped)")
 
     if compared == 0:
         print("no comparable baseline files: gate passes")
