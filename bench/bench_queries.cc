@@ -1,14 +1,12 @@
 // Query costs on the summary (§6): the paper promises O(log r) or O(r) per
 // query once the sampled hull is available. Benchmarks each query kind
-// against summaries of increasing r, plus the skip-list and visible-chain
-// substrate operations they ride on.
+// against summaries of increasing r.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
-#include "container/indexable_skiplist.h"
 #include "core/adaptive_hull.h"
 #include "queries/queries.h"
 #include "stream/generators.h"
@@ -83,18 +81,6 @@ void BM_EnclosingCircle(benchmark::State& state) {
   }
 }
 
-void BM_SkipListRankAccess(benchmark::State& state) {
-  IndexableSkipList<int, int> sl;
-  const int n = static_cast<int>(state.range(0));
-  for (int i = 0; i < n; ++i) sl.Insert(i, i);
-  Rng rng(10);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sl.AtRank(static_cast<size_t>(rng.UniformInt(static_cast<uint64_t>(n))))
-            ->value);
-  }
-}
-
 BENCHMARK(BM_Diameter)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_Width)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_DirectionalExtent)->Arg(16)->Arg(64)->Arg(256);
@@ -102,7 +88,6 @@ BENCHMARK(BM_Contains)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_Separation)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_OverlapArea)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_EnclosingCircle)->Arg(16)->Arg(64)->Arg(256);
-BENCHMARK(BM_SkipListRankAccess)->Arg(64)->Arg(1024)->Arg(16384);
 
 }  // namespace
 

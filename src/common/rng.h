@@ -1,7 +1,7 @@
 // streamhull: deterministic pseudo-random number generation.
 //
-// Everything stochastic in the library (workload generators, skip-list level
-// draws, test sweeps) goes through Rng so that every experiment and test is
+// Everything stochastic in the library (workload generators, test sweeps)
+// goes through Rng so that every experiment and test is
 // reproducible from a single 64-bit seed. The engine is SplitMix64 feeding
 // xoshiro256**, both public-domain algorithms, implemented here so the
 // library has no dependency on unspecified std::mt19937 distribution

@@ -31,14 +31,6 @@ double LevelSeriesPrefix(uint32_t i) {
   return kPrefix[std::min<uint32_t>(i, 64)];
 }
 
-// Adapter exposing the distinct-vertex skip list as a random-access CCW
-// polygon view for geom/convex_view.h.
-struct VertsView {
-  const IndexableSkipList<Direction, Point2>* list;
-  size_t size() const { return list->size(); }
-  Point2 operator[](size_t i) const { return list->AtRank(i)->value; }
-};
-
 }  // namespace
 
 AdaptiveHull::AdaptiveHull(const AdaptiveHullOptions& options)
@@ -139,23 +131,101 @@ bool AdaptiveHull::CcwIntervalsIntersect(const Direction& lo,
 }
 
 // ---------------------------------------------------------------------------
-// Circular sample iteration
+// Sample access (in the refinement trees) and run splices
 // ---------------------------------------------------------------------------
 
-AdaptiveHull::SampleMap::const_iterator AdaptiveHull::NextSample(
-    SampleMap::const_iterator it) const {
-  SH_DCHECK(!samples_.empty());
-  ++it;
-  if (it == samples_.end()) it = samples_.begin();
-  return it;
+AdaptiveHull::SampleRef AdaptiveHull::NextSample(SampleRef s) const {
+  const uint32_t next_edge = (s.edge + 1) % options_.r;
+  int32_t x;
+  if (s.node < 0) {
+    x = roots_[s.edge];
+  } else if (N(N(s.node).right).IsInternal()) {
+    x = N(s.node).right;
+  } else {
+    // The nearest ancestor holding s in its left subtree, if any.
+    const Direction& d = N(s.node).mid;
+    int32_t succ = -1;
+    for (int32_t a = roots_[s.edge]; a != s.node;) {
+      if (d < N(a).mid) {
+        succ = a;
+        a = N(a).left;
+      } else {
+        a = N(a).right;
+      }
+    }
+    return succ >= 0 ? SampleRef{s.edge, succ} : SampleRef{next_edge, -1};
+  }
+  if (!N(x).IsInternal()) return SampleRef{next_edge, -1};
+  while (N(N(x).left).IsInternal()) x = N(x).left;
+  return SampleRef{s.edge, x};
 }
 
-AdaptiveHull::SampleMap::const_iterator AdaptiveHull::PrevSample(
-    SampleMap::const_iterator it) const {
-  SH_DCHECK(!samples_.empty());
-  if (it == samples_.begin()) it = samples_.end();
-  --it;
-  return it;
+AdaptiveHull::SampleRef AdaptiveHull::PrevSample(SampleRef s) const {
+  uint32_t edge = s.edge;
+  int32_t x;
+  if (s.node < 0) {
+    edge = (s.edge + options_.r - 1) % options_.r;
+    x = roots_[edge];
+  } else if (N(N(s.node).left).IsInternal()) {
+    x = N(s.node).left;
+  } else {
+    // The nearest ancestor holding s in its right subtree, if any.
+    const Direction& d = N(s.node).mid;
+    int32_t pred = -1;
+    for (int32_t a = roots_[s.edge]; a != s.node;) {
+      if (N(a).mid < d) {
+        pred = a;
+        a = N(a).right;
+      } else {
+        a = N(a).left;
+      }
+    }
+    return SampleRef{s.edge, pred};
+  }
+  if (!N(x).IsInternal()) return SampleRef{edge, -1};
+  while (N(N(x).right).IsInternal()) x = N(x).right;
+  return SampleRef{edge, x};
+}
+
+bool AdaptiveHull::FindSample(const Direction& d, SampleRef* out) const {
+  if (d.IsUniform()) {
+    *out = SampleRef{static_cast<uint32_t>(d.num()), -1};
+    return true;
+  }
+  const uint32_t edge = static_cast<uint32_t>(d.num() >> d.level());
+  for (int32_t x = roots_[edge]; N(x).IsInternal();) {
+    const Direction& m = N(x).mid;
+    if (d == m) {
+      *out = SampleRef{edge, x};
+      return true;
+    }
+    x = d < m ? N(x).left : N(x).right;
+  }
+  return false;
+}
+
+size_t AdaptiveHull::RunLowerBound(const Direction& d) const {
+  return static_cast<size_t>(
+      std::lower_bound(run_dir_.begin(), run_dir_.end(), d) -
+      run_dir_.begin());
+}
+
+size_t AdaptiveHull::RunUpperBound(const Direction& d) const {
+  return static_cast<size_t>(
+      std::upper_bound(run_dir_.begin(), run_dir_.end(), d) -
+      run_dir_.begin());
+}
+
+void AdaptiveHull::InsertRun(size_t k, const Direction& d, Point2 pt) {
+  run_dir_.insert(run_dir_.begin() + static_cast<std::ptrdiff_t>(k), d);
+  run_pt_.insert(run_pt_.begin() + static_cast<std::ptrdiff_t>(k), pt);
+}
+
+void AdaptiveHull::EraseRuns(size_t first, size_t last) {
+  const auto f = static_cast<std::ptrdiff_t>(first);
+  const auto l = static_cast<std::ptrdiff_t>(last);
+  run_dir_.erase(run_dir_.begin() + f, run_dir_.begin() + l);
+  run_pt_.erase(run_pt_.begin() + f, run_pt_.begin() + l);
 }
 
 // ---------------------------------------------------------------------------
@@ -169,13 +239,11 @@ void AdaptiveHull::InitializeWith(Point2 p) {
   // defensive), per-direction tracking is meaningless now.
   wire_dirty_all_ = true;
   wire_dirty_.clear();
-  for (uint32_t j = 0; j < r; ++j) {
-    samples_.emplace(Direction::Uniform(j, r), p);
-    uniform_ext_[j] = p;
-  }
-  verts_.Insert(Direction::Uniform(0, r), p);
-  uniform_runs_.clear();
-  uniform_runs_.emplace(0, p);
+  num_directions_ = r;
+  for (uint32_t j = 0; j < r; ++j) uniform_ext_[j] = p;
+  run_dir_.assign(1, Direction::Uniform(0, r));
+  run_pt_.assign(1, p);
+  uniform_runs_.assign(1, 0);
   p_raw_ = 0;
   p_used_ = 0;
   for (uint32_t j = 0; j < r; ++j) {
@@ -195,23 +263,20 @@ void AdaptiveHull::InitializeWith(Point2 p) {
 // Winning-set computation
 // ---------------------------------------------------------------------------
 
-const std::vector<Direction>& AdaptiveHull::ComputeWinningSetBrute(Point2 p) {
-  const size_t s = samples_.size();
-  brute_dirs_.clear();
+AdaptiveHull::WonArc AdaptiveHull::ComputeWinningSetBrute(Point2 p) {
+  const size_t s = num_directions_;
+  brute_refs_.clear();
   brute_won_.clear();
-  won_scratch_.clear();
   size_t num_won = 0;
-  for (const auto& [d, pt] : samples_) {
-    brute_dirs_.push_back(d);
-    const bool w = Beats(p, d, pt);
+  SampleRef it;
+  for (size_t i = 0; i < s; ++i, it = NextSample(it)) {
+    const bool w = Beats(p, DirOf(it), PointOf(it));
+    brute_refs_.push_back(it);
     brute_won_.push_back(w ? 1 : 0);
     num_won += w ? 1 : 0;
   }
-  if (num_won == 0) return won_scratch_;
-  if (num_won == s) {
-    won_scratch_ = brute_dirs_;  // Map order is a valid CCW walk.
-    return won_scratch_;
-  }
+  if (num_won == 0) return WonArc{};
+  if (num_won == s) return WonArc{brute_refs_[0], brute_refs_[s - 1], s};
   // Start at a won direction whose circular predecessor is not won.
   size_t start = s;
   for (size_t i = 0; i < s; ++i) {
@@ -221,46 +286,37 @@ const std::vector<Direction>& AdaptiveHull::ComputeWinningSetBrute(Point2 p) {
     }
   }
   SH_DCHECK(start < s);
-  for (size_t k = 0; k < s; ++k) {
-    const size_t i = (start + k) % s;
-    if (!brute_won_[i]) break;
-    won_scratch_.push_back(brute_dirs_[i]);
-  }
-  return won_scratch_;
+  size_t count = 0;
+  while (count < s && brute_won_[(start + count) % s]) ++count;
+  return WonArc{brute_refs_[start], brute_refs_[(start + count - 1) % s],
+                count};
 }
 
-const std::vector<Direction>& AdaptiveHull::ComputeWinningSet(Point2 p) {
-  const size_t m = verts_.size();
+AdaptiveHull::WonArc AdaptiveHull::ComputeWinningSet(Point2 p) {
+  const size_t m = run_pt_.size();
   if (m <= 16) return ComputeWinningSetBrute(p);
 
-  won_scratch_.clear();
-  VertsView view{&verts_};
-  auto chain = FindVisibleChain(view, p);
-  if (!chain.has_value()) return won_scratch_;
+  const auto chain = FindVisibleChain(run_pt_, p);
+  if (!chain.has_value()) return WonArc{};
 
-  const size_t r_rank = chain->first_edge;
-  const size_t l_rank = (chain->last_edge + 1) % m;
-  const Direction rnext_key = verts_.AtRank((r_rank + 1) % m)->key;
-  const Direction l_key = verts_.AtRank(l_rank)->key;
-
-  const size_t s = samples_.size();
-  ws_rside_.clear();  // Collected walking CW (reverse CCW).
+  const size_t s = num_directions_;
+  auto beats = [&](SampleRef x) { return Beats(p, DirOf(x), PointOf(x)); };
+  // First direction owned by the vertex after the right tangent, and the
+  // left tangent vertex's first direction.
+  SampleRef i0, l_ref;
+  const bool found =
+      FindSample(run_dir_[(chain->first_edge + 1) % m], &i0) &&
+      FindSample(run_dir_[(chain->last_edge + 1) % m], &l_ref);
+  SH_CHECK(found);
 
   // Right boundary: walk CW from just before the chain interior, absorbing
   // every direction the new point beats. This resolves the tangent vertex's
   // split cone exactly and tolerates an off-by-one tangent.
-  SampleMap::const_iterator it0 = samples_.find(rnext_key);
-  SH_CHECK(it0 != samples_.end());
-  {
-    auto it = PrevSample(it0);
-    size_t steps = 0;
-    while (steps++ < s && Beats(p, it->first, it->second)) {
-      ws_rside_.push_back(it->first);
-      it = PrevSample(it);
-    }
-  }
-  for (auto rit = ws_rside_.rbegin(); rit != ws_rside_.rend(); ++rit) {
-    won_scratch_.push_back(*rit);
+  WonArc won{i0, PrevSample(i0), 0};
+  for (SampleRef it = won.last; won.count < s && beats(it);
+       it = PrevSample(it)) {
+    won.first = it;
+    ++won.count;
   }
   // Interior: directions owned by vertices strictly inside the chain. These
   // are all won in exact arithmetic; with floating-point noise the chain
@@ -268,116 +324,87 @@ const std::vector<Direction>& AdaptiveHull::ComputeWinningSet(Point2 p) {
   // predicate-driven and stops at the first direction the point fails to
   // win (keeping the collected set one contiguous arc).
   bool middle_complete = true;
-  {
-    auto it = it0;
-    size_t steps = 0;
-    while (it->first != l_key && steps++ < s) {
-      if (!Beats(p, it->first, it->second)) {
-        middle_complete = false;
-        break;
-      }
-      won_scratch_.push_back(it->first);
+  SampleRef it = i0;
+  for (size_t steps = 0; it != l_ref && steps++ < s; it = NextSample(it)) {
+    if (!beats(it)) {
+      middle_complete = false;
+      break;
+    }
+    won.last = it;
+    ++won.count;
+  }
+  // Left boundary: walk CCW from the left tangent vertex's first direction
+  // (where the interior walk stopped), within the directions not yet won.
+  if (middle_complete && won.count < s) {
+    const size_t budget = s - won.count;
+    for (size_t taken = 0; taken < budget && beats(it); ++taken) {
+      won.last = it;
+      ++won.count;
       it = NextSample(it);
     }
   }
-  // Left boundary: walk CCW from the left tangent vertex's first direction.
-  if (middle_complete && won_scratch_.size() < s) {
-    SampleMap::const_iterator it = samples_.find(l_key);
-    SH_CHECK(it != samples_.end());
-    size_t steps = 0;
-    const size_t budget = s - won_scratch_.size();
-    size_t taken = 0;
-    while (steps++ <= budget && Beats(p, it->first, it->second)) {
-      won_scratch_.push_back(it->first);
-      ++taken;
-      it = NextSample(it);
-      if (taken >= budget) break;
-    }
-  }
-  return won_scratch_;
+  return won;
 }
 
 // ---------------------------------------------------------------------------
 // Applying a win: samples, vertex runs, uniform extrema, perimeter
 // ---------------------------------------------------------------------------
 
-void AdaptiveHull::ApplyWin(Point2 p, const std::vector<Direction>& won) {
-  SH_DCHECK(!won.empty());
-  const Direction wf = won.front();
-  const Direction wl = won.back();
-  const bool all_won = won.size() == samples_.size();
+void AdaptiveHull::ApplyWin(Point2 p, const WonArc& won) {
+  SH_DCHECK(won.count > 0);
+  const Direction wf = DirOf(won.first);
+  const Direction wl = DirOf(won.last);
+  const bool all_won = won.count == num_directions_;
 
   // Capture the run re-anchor for the direction just past the won interval
   // *before* mutating anything.
-  Direction after;
-  Point2 after_pt{};
-  bool need_after = false;
-  if (!all_won) {
-    auto it = samples_.find(wl);
-    SH_CHECK(it != samples_.end());
-    const auto nx = NextSample(it);
-    after = nx->first;
-    after_pt = nx->second;
-    need_after = true;
-  }
+  const SampleRef after_ref = NextSample(won.last);
+  const Direction after = DirOf(after_ref);
+  const Point2 after_pt = PointOf(after_ref);
 
-  // Update the stored extremum for every won direction.
-  for (const Direction& d : won) {
-    auto it = samples_.find(d);
-    SH_CHECK(it != samples_.end());
-    it->second = p;
-    MarkWireDirty(d);
+  // Update the stored extremum for every won direction; the uniform ones
+  // (a contiguous range [jf, jl]) are updated by UpdateUniform below.
+  bool any_uniform = false;
+  uint32_t jf = 0, jl = 0;
+  SampleRef it = won.first;
+  for (size_t t = 0; t < won.count; ++t, it = NextSample(it)) {
+    MarkWireDirty(DirOf(it));
+    if (it.node >= 0) {
+      N(it.node).pm = p;
+      continue;
+    }
+    if (!any_uniform) jf = it.edge;
+    jl = it.edge;
+    any_uniform = true;
   }
 
   // Erase vertex runs whose first direction lies in [wf, wl] (circular).
-  {
-    std::vector<Direction>& to_erase = erase_scratch_;
-    to_erase.clear();
-    if (!(wl < wf)) {
-      for (auto* node = verts_.FindGreaterEqual(wf);
-           node != nullptr && !(wl < node->key); node = verts_.Next(node)) {
-        to_erase.push_back(node->key);
-      }
-    } else {
-      for (auto* node = verts_.FindGreaterEqual(wf); node != nullptr;
-           node = verts_.Next(node)) {
-        to_erase.push_back(node->key);
-      }
-      for (auto* node = verts_.First();
-           node != nullptr && !(wl < node->key); node = verts_.Next(node)) {
-        to_erase.push_back(node->key);
-      }
-    }
-    for (const Direction& d : to_erase) verts_.Erase(d);
-    stats_.vertices_deleted += to_erase.size();
+  const size_t lo = RunLowerBound(wf);
+  const size_t hi = RunUpperBound(wl);
+  if (!(wl < wf)) {
+    EraseRuns(lo, hi);
+    stats_.vertices_deleted += hi - lo;
+  } else {
+    stats_.vertices_deleted += run_dir_.size() - lo + hi;
+    EraseRuns(lo, run_dir_.size());
+    EraseRuns(0, hi);
   }
 
   // The new point's run, plus the re-anchored run for the surviving owner
   // just past the interval.
-  verts_.Insert(wf, p);
-  if (need_after) {
-    auto* anode = verts_.Find(after);
-    if (anode == nullptr) anode = verts_.Insert(after, after_pt);
+  InsertRun(RunLowerBound(wf), wf, p);
+  if (!all_won) {
+    const size_t a = RunLowerBound(after);
+    if (a == run_dir_.size() || run_dir_[a] != after) {
+      InsertRun(a, after, after_pt);
+    }
     // Run-length compression: if the re-anchored run's circular successor
     // holds the same point (typically across the 0-direction wrap), the two
     // runs are one contiguous ownership range; drop the later key.
-    auto* succ = verts_.Next(anode);
-    if (succ == nullptr) succ = verts_.First();
-    if (succ != anode && succ->value == anode->value) {
-      verts_.Erase(succ->key);
-    }
+    const size_t succ = (a + 1) % run_dir_.size();
+    if (succ != a && run_pt_[succ] == run_pt_[a]) EraseRuns(succ, succ + 1);
   }
 
-  // Uniform directions among the winners.
-  bool any_uniform = false;
-  uint32_t jf = 0, jl = 0;
-  for (const Direction& d : won) {
-    if (!d.IsUniform()) continue;
-    const uint32_t j = static_cast<uint32_t>(d.num());
-    if (!any_uniform) jf = j;
-    jl = j;
-    any_uniform = true;
-  }
   if (any_uniform) UpdateUniform(p, jf, jl);
 }
 
@@ -385,48 +412,46 @@ double AdaptiveHull::RecomputeUniformPerimeter() const {
   const size_t k = uniform_runs_.size();
   if (k <= 1) return 0.0;
   double sum = 0.0;
-  auto first = uniform_runs_.begin();
-  auto prev = first;
-  for (auto it = std::next(first); it != uniform_runs_.end(); ++it) {
-    sum += Distance(prev->second, it->second);
-    prev = it;
+  for (size_t i = 1; i < k; ++i) {
+    sum += Distance(uniform_ext_[uniform_runs_[i - 1]],
+                    uniform_ext_[uniform_runs_[i]]);
   }
-  sum += Distance(prev->second, first->second);
+  sum += Distance(uniform_ext_[uniform_runs_[k - 1]],
+                  uniform_ext_[uniform_runs_[0]]);
   return sum;
 }
 
 void AdaptiveHull::UpdateUniform(Point2 p, uint32_t jf, uint32_t jl) {
   const uint32_t r = options_.r;
-  // Update per-direction extrema over the (circular) range [jf, jl].
-  size_t won_count = 0;
-  for (uint32_t j = jf;; j = (j + 1) % r) {
-    uniform_ext_[j] = p;
-    ++won_count;
-    if (j == jl) break;
-  }
-
+  std::vector<uint32_t>& runs = uniform_runs_;
+  const size_t won_count = (jl + r - jf) % r + 1;  // |[jf, jl]|, circular.
   const double old_p_raw = p_raw_;
   auto in_interval = [&](uint32_t j) {
     if (jf <= jl) return j >= jf && j <= jl;
     return j >= jf || j <= jl;
   };
 
+  // Run starts inside [jf, jl] occupy [lo, hi) (wrapping: [lo, end) and
+  // [0, hi)). Everything read here is the extrema as they were, so it
+  // precedes the update below.
+  const size_t k = runs.size();
+  const size_t lo = static_cast<size_t>(
+      std::lower_bound(runs.begin(), runs.end(), jf) - runs.begin());
+  const size_t hi = static_cast<size_t>(
+      std::upper_bound(runs.begin(), runs.end(), jl) - runs.begin());
+
   // Decide between the incremental perimeter update and a full recompute.
-  bool incremental = uniform_runs_.size() > 4 && won_count < r;
+  bool incremental = k > 4 && won_count < r;
   Point2 a_pt{}, b_pt{};
   uint32_t b_key = 0;
   if (incremental) {
-    auto ait = uniform_runs_.lower_bound(jf);  // Largest key < jf, circular.
-    if (ait == uniform_runs_.begin()) ait = uniform_runs_.end();
-    --ait;
-    auto bit = uniform_runs_.upper_bound(jl);  // Smallest key > jl, circular.
-    if (bit == uniform_runs_.end()) bit = uniform_runs_.begin();
-    if (in_interval(ait->first) || in_interval(bit->first)) {
+    const uint32_t a_key = runs[(lo + k - 1) % k];  // Largest < jf, circular.
+    b_key = runs[hi % k];                           // Smallest > jl, circular.
+    if (in_interval(a_key) || in_interval(b_key)) {
       incremental = false;
     } else {
-      a_pt = ait->second;
-      b_pt = bit->second;
-      b_key = bit->first;
+      a_pt = uniform_ext_[a_key];
+      b_pt = uniform_ext_[b_key];
     }
   }
 
@@ -434,31 +459,35 @@ void AdaptiveHull::UpdateUniform(Point2 p, uint32_t jf, uint32_t jl) {
   // order from jf.
   std::vector<Point2>& erased_pts = uu_pts_scratch_;
   erased_pts.clear();
-  {
-    std::vector<uint32_t>& keys = uu_keys_scratch_;
-    keys.clear();
-    for (auto it = uniform_runs_.lower_bound(jf);
-         it != uniform_runs_.end() && (jf <= jl ? it->first <= jl : true);
-         ++it) {
-      keys.push_back(it->first);
-      erased_pts.push_back(it->second);
+  const auto erase = [&](size_t first, size_t last) {
+    for (size_t i = first; i < last; ++i) {
+      erased_pts.push_back(uniform_ext_[runs[i]]);
     }
-    if (jf > jl) {
-      for (auto it = uniform_runs_.begin();
-           it != uniform_runs_.end() && it->first <= jl; ++it) {
-        keys.push_back(it->first);
-        erased_pts.push_back(it->second);
-      }
-    }
-    for (uint32_t k : keys) uniform_runs_.erase(k);
+    runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(first),
+               runs.begin() + static_cast<std::ptrdiff_t>(last));
+  };
+  if (jf <= jl) {
+    erase(lo, hi);
+  } else {
+    erase(lo, k);
+    erase(0, hi);
   }
 
-  uniform_runs_[jf] = p;
+  // Update per-direction extrema over the (circular) range [jf, jl].
+  for (uint32_t j = jf;; j = (j + 1) % r) {
+    uniform_ext_[j] = p;
+    if (j == jl) break;
+  }
+
+  runs.insert(std::lower_bound(runs.begin(), runs.end(), jf), jf);
   const uint32_t jnext = (jl + 1) % r;
   bool inserted_jnext = false;
-  if (won_count < r && uniform_runs_.find(jnext) == uniform_runs_.end()) {
-    uniform_runs_[jnext] = uniform_ext_[jnext];
-    inserted_jnext = true;
+  if (won_count < r) {
+    const auto it = std::lower_bound(runs.begin(), runs.end(), jnext);
+    if (it == runs.end() || *it != jnext) {
+      runs.insert(it, jnext);
+      inserted_jnext = true;
+    }
   }
 
   if (!incremental) {
@@ -498,64 +527,54 @@ void AdaptiveHull::UpdateUniform(Point2 p, uint32_t jf, uint32_t jl) {
 // Direction activation / deactivation (refinement bookkeeping)
 // ---------------------------------------------------------------------------
 
-void AdaptiveHull::ActivateDirection(const Direction& d, Point2 pt) {
-  auto [it, inserted] = samples_.emplace(d, pt);
-  SH_CHECK(inserted);
-  pending_slack_.push_back(d);
+void AdaptiveHull::ActivateDirection(const Direction& d, Point2 pt,
+                                     const Direction& next_dir) {
+  ++num_directions_;
   MarkWireDirty(d);
-  // Run bookkeeping. The refined leaf's interval contains no other active
-  // direction, so d is adjacent to the runs of both endpoint samples.
-  auto* owner_run = verts_.FindLessEqual(d);
-  if (owner_run == nullptr) owner_run = verts_.Last();
-  SH_CHECK(owner_run != nullptr);
-  if (owner_run->value == pt) return;  // Merges into the predecessor's run.
-  // Otherwise pt is the successor sample's point: its run starts exactly at
-  // the leaf's hi endpoint; extend it backward to d.
-  auto nx = NextSample(it);
-  SH_DCHECK(nx->second == pt);
-  const Direction succ_key = nx->first;
-  auto* succ_run = verts_.Find(succ_key);
-  SH_DCHECK(succ_run != nullptr && succ_run->value == pt);
-  if (succ_run != nullptr) verts_.Erase(succ_key);
-  verts_.Insert(d, pt);
-}
-
-void AdaptiveHull::DeactivateDirection(const Direction& d) {
-  auto it = samples_.find(d);
-  SH_CHECK(it != samples_.end());
-  slack_.erase(d);
-  MarkWireDirty(d);
-  auto* run = verts_.Find(d);
-  if (run == nullptr) {
-    samples_.erase(it);  // Interior of a run; ownership map unchanged.
+  // The refined leaf's interval contains no other active direction, so d
+  // is adjacent to the runs of both endpoint samples.
+  const size_t k = RunUpperBound(d);
+  const size_t owner = (k == 0 ? run_dir_.size() : k) - 1;
+  if (run_pt_[owner] == pt) return;  // Merges into the predecessor's run.
+  // Otherwise pt is next_dir's point: its run starts exactly at the leaf's
+  // hi endpoint; extend it backward to d.
+  const size_t succ = RunLowerBound(next_dir);
+  const bool succ_found = succ < run_dir_.size() && run_dir_[succ] == next_dir;
+  SH_DCHECK(succ_found && run_pt_[succ] == pt);
+  if (succ_found && succ == k) {
+    run_dir_[k] = d;  // No wrap: the run keeps its slot.
     return;
   }
-  const Point2 pt = run->value;
-  // Does d's run own more directions? It does iff the next active direction
-  // (circularly) still maps to this run node.
-  auto nx = NextSample(it);
-  const Direction next_dir = nx->first;
-  bool more = false;
-  if (next_dir != d) {
-    auto* owner = verts_.FindLessEqual(next_dir);
-    if (owner == nullptr) owner = verts_.Last();
-    more = (owner == run);
-  }
-  samples_.erase(it);
-  verts_.Erase(d);
-  if (more) {
-    verts_.Insert(next_dir, pt);
+  if (succ_found) EraseRuns(succ, succ + 1);
+  InsertRun(RunLowerBound(d), d, pt);
+}
+
+void AdaptiveHull::DeactivateDirection(const Direction& d,
+                                       const Direction& next_dir) {
+  --num_directions_;
+  MarkWireDirty(d);
+  const size_t k = RunLowerBound(d);
+  if (k == run_dir_.size() || run_dir_[k] != d) return;  // Inside a run.
+  // Does d's run own more directions? It does iff next_dir starts no run
+  // of its own: run keys are active directions, so no other run can start
+  // between d and next_dir.
+  if (run_dir_[(k + 1) % run_dir_.size()] != next_dir) {
+    if (d < next_dir) {
+      run_dir_[k] = next_dir;  // No wrap: the run keeps its slot.
+      return;
+    }
+    const Point2 pt = run_pt_[k];
+    EraseRuns(k, k + 1);
+    InsertRun(RunLowerBound(next_dir), next_dir, pt);
     return;
   }
   // The run vanished; merge its neighbors if they now repeat a point.
-  if (verts_.size() >= 2) {
-    auto* succ = verts_.FindGreaterEqual(d);
-    if (succ == nullptr) succ = verts_.First();
-    auto* pred = verts_.FindLessEqual(d);
-    if (pred == nullptr) pred = verts_.Last();
-    if (pred != succ && pred->value == succ->value) {
-      verts_.Erase(succ->key);
-    }
+  EraseRuns(k, k + 1);
+  const size_t m = run_dir_.size();
+  if (m >= 2) {
+    const size_t succ = k % m;
+    const size_t pred = (k + m - 1) % m;
+    if (run_pt_[pred] == run_pt_[succ]) EraseRuns(succ, succ + 1);
   }
 }
 
@@ -614,12 +633,11 @@ bool AdaptiveHull::RefineOnce(int32_t idx) {
   const Point2 pb = N(idx).pb;
   const uint32_t depth = N(idx).depth;
   const Direction mid = Direction::Midpoint(lo, hi);
-  if (samples_.find(mid) != samples_.end()) return false;  // Paranoia.
   const Point2 um = mid.ToVector();
   // The extremum in the bisecting direction among the stored samples is one
   // of the two endpoints (their normal cones cover the leaf's interval).
   const Point2 winner = Dot(pb, um) > Dot(pa, um) ? pb : pa;
-  ActivateDirection(mid, winner);
+  ActivateDirection(mid, winner, hi);
 
   const int32_t li = AllocNode();
   const int32_t ri = AllocNode();
@@ -641,6 +659,10 @@ bool AdaptiveHull::RefineOnce(int32_t idx) {
   n.left = li;
   n.right = ri;
   n.mid = mid;
+  n.pm = winner;
+  // The certified slack uses the post-insertion P: refinement runs after
+  // ApplyWin, the only place P changes.
+  n.slack = OffsetForLevel(mid.level());
   ++stats_.directions_refined;
   if (options_.mode == SamplingMode::kFixedSize) {
     PushHeapEntry(li);
@@ -667,7 +689,7 @@ void AdaptiveHull::Unrefine(int32_t idx) {
   SH_CHECK(n.IsInternal());
   if (N(n.left).IsInternal()) Unrefine(n.left);
   if (N(n.right).IsInternal()) Unrefine(n.right);
-  DeactivateDirection(n.mid);
+  DeactivateDirection(n.mid, n.hi);
   FreeNode(n.left);
   FreeNode(n.right);
   n.left = -1;
@@ -730,9 +752,7 @@ int32_t AdaptiveHull::RebuildNode(int32_t idx, const Direction& lo,
   }
 
   const Direction mid = N(idx).mid;
-  auto mit = samples_.find(mid);
-  SH_CHECK(mit != samples_.end());
-  const Point2 pm = mit->second;
+  const Point2 pm = N(idx).pm;
   const Point2 old_pm = N(N(idx).left).pb;
   const bool mid_changed = !(old_pm == pm);
   const bool endpoint_change = !(N(idx).pa == a) || !(N(idx).pb == b);
@@ -874,13 +894,13 @@ void AdaptiveHull::Rebalance() {
 
   // Pad: spend unused budget on the heaviest edges (§7: refine even when
   // w <= 1 until 2r directions are in use).
-  while (samples_.size() < target && guard-- > 0) {
+  while (num_directions_ < target && guard-- > 0) {
     const int32_t leaf = PopBestLeaf();
     if (leaf < 0) break;
     if (!RefineOnce(leaf)) continue;
   }
   // Trim: give back over-budget directions from the lightest edges.
-  while (samples_.size() > target && guard-- > 0) {
+  while (num_directions_ > target && guard-- > 0) {
     const int32_t node = PopWorstInternal();
     if (node < 0) break;
     Unrefine(node);
@@ -923,16 +943,15 @@ void AdaptiveHull::Insert(Point2 p) {
 }
 
 bool AdaptiveHull::InsertNonEmpty(Point2 p) {
-  const std::vector<Direction>& won = ComputeWinningSet(p);
-  if (won.empty()) {
+  const WonArc won = ComputeWinningSet(p);
+  if (won.count == 0) {
     ++stats_.points_discarded;
     return false;
   }
-  // `won` aliases won_scratch_; nothing below recomputes a winning set, so
-  // the reference stays valid through the rebuild. The won interval
-  // endpoints are copied out because RebuildRange runs after ApplyWin.
-  const Direction won_first = won.front();
-  const Direction won_last = won.back();
+  // The won interval's endpoints, read before the rebuild pass frees and
+  // reuses refinement nodes.
+  const Direction won_first = DirOf(won.first);
+  const Direction won_last = DirOf(won.last);
   ApplyWin(p, won);
   collapsed_scratch_.clear();
   if (!frozen_ && options_.mode == SamplingMode::kInvariant) {
@@ -950,21 +969,7 @@ bool AdaptiveHull::InsertNonEmpty(Point2 p) {
   if (!frozen_ && options_.mode == SamplingMode::kFixedSize) {
     Rebalance();
   }
-  FlushPendingSlacks();
   return true;
-}
-
-void AdaptiveHull::FlushPendingSlacks() {
-  if (pending_slack_.empty()) return;
-  for (const Direction& d : pending_slack_) {
-    // A direction can be deactivated again within the same insertion
-    // (rebuild churn); only directions that survived get a slack entry.
-    // Either way the direction is already wire-dirty: ActivateDirection
-    // marked it, so the slack written here rides the same delta record.
-    if (samples_.find(d) == samples_.end()) continue;
-    slack_[d] = OffsetForLevel(d.level());
-  }
-  pending_slack_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -1006,22 +1011,10 @@ void AdaptiveHull::OnWireBaselineCaptured() {
 // ---------------------------------------------------------------------------
 
 void AdaptiveHull::RefreshBatchCache() {
-  // Same compression as CompressClosedRuns, applied while appending so the
-  // refresh reuses batch_cache_'s capacity instead of allocating a fresh
-  // vector per accepted point.
-  batch_cache_.clear();
-  for (auto* node = verts_.First(); node != nullptr;
-       node = verts_.Next(node)) {
-    if (batch_cache_.empty() || !(batch_cache_.back() == node->value)) {
-      batch_cache_.push_back(node->value);
-    }
-  }
-  while (batch_cache_.size() > 1 &&
-         batch_cache_.back() == batch_cache_.front()) {
-    batch_cache_.pop_back();
-  }
+  // run_pt_ already is the distinct CCW polygon the prefilter tests
+  // against; only its coordinate scale and SoA mirror are derived here.
   double scale = 0;
-  for (const Point2& v : batch_cache_) {
+  for (const Point2& v : run_pt_) {
     scale = std::max({scale, std::abs(v.x), std::abs(v.y)});
   }
   batch_cache_scale_ = scale;
@@ -1031,11 +1024,11 @@ void AdaptiveHull::RefreshBatchCache() {
   // convex polygon spans a convex polygon contained in it, so certifying
   // strict interiority against the subset certifies it against the full
   // polygon — and the lane kernel's cost stays O(1) per point no matter
-  // how large r makes the cache.
-  const size_t m = batch_cache_.size();
+  // how large r makes the polygon.
+  const size_t m = run_pt_.size();
   const size_t stride = (m + kBatchSoaMaxEdges - 1) / kBatchSoaMaxEdges;
   if (m >= 3) {
-    batch_soa_.Build(batch_cache_, stride, batch_cache_scale_);
+    batch_soa_.Build(run_pt_, stride, batch_cache_scale_);
   } else {
     batch_soa_.Clear();
   }
@@ -1063,7 +1056,7 @@ bool StrictlyLeftByMargin(Point2 a, Point2 b, Point2 p, double scale) {
 }  // namespace
 
 bool AdaptiveHull::BatchCacheRejects(Point2 p) const {
-  const std::vector<Point2>& v = batch_cache_;
+  const std::vector<Point2>& v = run_pt_;
   const size_t m = v.size();
   if (m < 3) {
     // Degenerate caches (a repeated-point or collinear-start stream) still
@@ -1123,19 +1116,17 @@ void AdaptiveHull::Reserve(size_t expected_points) {
   (void)expected_points;  // All summary state is O(r); capacities come
                           // from r, not from the stream length.
   const size_t dirs = 2 * static_cast<size_t>(options_.r) + 2;
+  run_dir_.reserve(dirs);
+  run_pt_.reserve(dirs);
+  uniform_runs_.reserve(options_.r);
   // Arena: r roots plus 2 children per internal node, at most r+1 internal
   // nodes live at once (Theorem 5.4); churn reuses the free list.
   nodes_.reserve(3 * static_cast<size_t>(options_.r) + 4);
   free_nodes_.reserve(dirs);
-  batch_cache_.reserve(dirs);
   batch_soa_.Reserve(kBatchSoaMaxEdges);
-  won_scratch_.reserve(dirs);
-  ws_rside_.reserve(dirs);
-  brute_dirs_.reserve(dirs);
+  brute_refs_.reserve(dirs);
   brute_won_.reserve(dirs);
-  erase_scratch_.reserve(dirs);
   uu_pts_scratch_.reserve(dirs);
-  uu_keys_scratch_.reserve(dirs);
   ready_scratch_.reserve(dirs);
   collapsed_scratch_.reserve(dirs);
   if (options_.mode == SamplingMode::kFixedSize) {
@@ -1155,13 +1146,14 @@ void AdaptiveHull::InsertBatch(std::span<const Point2> points) {
   ++stats_.batches;
   bool cache_valid = false;
   // Each accepted point invalidates the cache; rebuilding it costs O(r).
-  // The cooldown makes the next rebuild wait for ~cache/divisor offered
+  // The cooldown makes the next rebuild wait for ~vertices/divisor offered
   // points (which meanwhile take the plain Insert path), so accept-heavy
   // streams pay O(1) amortized refresh work per point instead of O(r),
   // while interior-heavy streams — where accepts are rare — still spend
-  // almost the whole batch in the prefilter.
+  // almost the whole batch in the prefilter. The wait is sized from the
+  // polygon the cache was built from, before the accept changed it.
   size_t cooldown = 0;
-  const uint32_t divisor = options_.batch_cooldown_divisor;
+  size_t cooldown_after_accept = 0;
   // The SIMD tier only pays off when a lane kernel actually backs it;
   // under scalar dispatch the wedge test alone is the faster filter.
   const bool use_lanes = ActiveSimdIsa() != SimdIsa::kScalar;
@@ -1178,6 +1170,7 @@ void AdaptiveHull::InsertBatch(std::span<const Point2> points) {
       }
       RefreshBatchCache();
       cache_valid = true;
+      cooldown_after_accept = run_pt_.size() / kBatchCooldownDivisor;
       // Fall through: p must still be offered against the fresh cache.
       if (BatchCacheRejects(p)) {
         ++stats_.points_discarded;
@@ -1187,7 +1180,7 @@ void AdaptiveHull::InsertBatch(std::span<const Point2> points) {
       }
       if (InsertNonEmpty(p)) {
         cache_valid = false;
-        cooldown = divisor == 0 ? 0 : batch_cache_.size() / divisor;
+        cooldown = cooldown_after_accept;
       }
       continue;
     }
@@ -1220,7 +1213,7 @@ void AdaptiveHull::InsertBatch(std::span<const Point2> points) {
         }
         if (InsertNonEmpty(p)) {
           cache_valid = false;
-          cooldown = divisor == 0 ? 0 : batch_cache_.size() / divisor;
+          cooldown = cooldown_after_accept;
           ++j;
           break;
         }
@@ -1248,18 +1241,14 @@ void AdaptiveHull::InsertBatch(std::span<const Point2> points) {
     // Full per-point pipeline; identical to Insert().
     if (InsertNonEmpty(p)) {
       cache_valid = false;
-      cooldown = divisor == 0 ? 0 : batch_cache_.size() / divisor;
+      cooldown = cooldown_after_accept;
     }
   }
 }
 
 void AdaptiveHull::MergeFrom(const AdaptiveHull& other) {
-  std::vector<Point2> donors;
-  donors.reserve(other.verts_.size());
-  for (auto* node = other.verts_.First(); node != nullptr;
-       node = other.verts_.Next(node)) {
-    donors.push_back(node->value);
-  }
+  // A copy: inserting may splice run_pt_, and other may be *this.
+  const std::vector<Point2> donors = other.run_pt_;
   InsertDeduped(donors);
 }
 
@@ -1283,27 +1272,23 @@ uint64_t AdaptiveHull::InsertDeduped(std::span<const Point2> points) {
 
 size_t AdaptiveHull::num_sample_points() const {
   std::set<std::pair<double, double>> pts;
-  for (auto* node = verts_.First(); node != nullptr;
-       node = verts_.Next(node)) {
-    pts.emplace(node->value.x, node->value.y);
-  }
+  for (const Point2& v : run_pt_) pts.emplace(v.x, v.y);
   return pts.size();
 }
 
 ConvexPolygon AdaptiveHull::Polygon() const {
-  std::vector<Point2> verts;
-  verts.reserve(verts_.size());
-  for (auto* node = verts_.First(); node != nullptr;
-       node = verts_.Next(node)) {
-    verts.push_back(node->value);
-  }
-  return ConvexPolygon(CompressClosedRuns(std::move(verts)));
+  // The runs are already distinct; the shared compression keeps a decoded
+  // snapshot's inner polygon structurally equal to this one.
+  return ConvexPolygon(CompressClosedRuns(run_pt_));
 }
 
 std::vector<HullSample> AdaptiveHull::Samples() const {
   std::vector<HullSample> out;
-  out.reserve(samples_.size());
-  for (const auto& [d, pt] : samples_) out.push_back(HullSample{d, pt});
+  out.reserve(num_directions_);
+  SampleRef s;
+  for (size_t i = 0; i < num_directions_; ++i, s = NextSample(s)) {
+    out.push_back(HullSample{DirOf(s), PointOf(s)});
+  }
   return out;
 }
 
@@ -1346,18 +1331,18 @@ std::vector<UncertaintyTriangle> AdaptiveHull::Triangles() const {
 
 std::vector<double> AdaptiveHull::SampleSlacks() const {
   std::vector<double> slacks;
-  slacks.reserve(samples_.size());
-  for (const auto& [d, pt] : samples_) {
-    if (d.IsUniform()) {
+  slacks.reserve(num_directions_);
+  SampleRef s;
+  for (size_t i = 0; i < num_directions_; ++i, s = NextSample(s)) {
+    if (s.node < 0) {
       slacks.push_back(0.0);
       continue;
     }
     // The per-level formula with the current P is always valid (Lemma 5.3
     // as stated); the activation-time capture is at most that, and P's
     // monotonicity keeps it valid. Take the min as a floating-point guard.
-    const double cap = OffsetForLevel(d.level());
-    const auto it = slack_.find(d);
-    slacks.push_back(it == slack_.end() ? cap : std::min(it->second, cap));
+    const RefNode& n = N(s.node);
+    slacks.push_back(std::min(n.slack, OffsetForLevel(n.mid.level())));
   }
   return slacks;
 }
@@ -1391,46 +1376,61 @@ Status AdaptiveHull::CheckConsistency() const {
   if (num_points_ == 0) return Status::OK();
   const uint32_t r = options_.r;
 
-  // Uniform directions always active; extrema mirror samples_.
-  for (uint32_t j = 0; j < r; ++j) {
-    auto it = samples_.find(Direction::Uniform(j, r));
-    if (it == samples_.end()) return Fail("uniform direction inactive");
-    if (!(it->second == uniform_ext_[j])) {
-      return Fail("uniform extremum mismatch");
+  // Samples: the CCW walk visits every active direction once, in strictly
+  // increasing order, and returns to the start.
+  SampleRef it;
+  for (size_t i = 0; i < num_directions_; ++i) {
+    const SampleRef next = NextSample(it);
+    if (i + 1 < num_directions_ && !(DirOf(it) < DirOf(next))) {
+      return Fail("samples out of CCW order");
+    }
+    if (PrevSample(next) != it) return Fail("sample walk not reversible");
+    it = next;
+  }
+  if (it != SampleRef{}) return Fail("sample walk does not close");
+  if (uniform_runs_.empty()) return Fail("no uniform runs");
+  for (size_t i = 0; i < uniform_runs_.size(); ++i) {
+    if (uniform_runs_[i] >= r ||
+        (i > 0 && uniform_runs_[i - 1] >= uniform_runs_[i])) {
+      return Fail("uniform run starts not sorted directions");
     }
   }
 
-  // Vertex runs: keys active, values match samples_, adjacent runs distinct.
+  // Vertex runs: keys CCW-sorted and active, values match the samples,
+  // adjacent runs (circularly) distinct.
   {
-    const size_t m = verts_.size();
+    const size_t m = run_dir_.size();
     if (m == 0) return Fail("no vertex runs");
-    auto* prev = verts_.Last();
-    for (auto* node = verts_.First(); node != nullptr;
-         node = verts_.Next(node)) {
-      auto it = samples_.find(node->key);
-      if (it == samples_.end()) return Fail("run key not an active direction");
-      if (!(it->second == node->value)) return Fail("run value mismatch");
-      if (m > 1 && prev != node && prev->value == node->value) {
+    if (run_pt_.size() != m) return Fail("run arrays out of step");
+    for (size_t k = 0; k < m; ++k) {
+      if (k > 0 && !(run_dir_[k - 1] < run_dir_[k])) {
+        return Fail("run keys out of CCW order");
+      }
+      SampleRef s;
+      if (!FindSample(run_dir_[k], &s)) {
+        return Fail("run key not an active direction");
+      }
+      if (!(PointOf(s) == run_pt_[k])) return Fail("run value mismatch");
+      if (m > 1 && run_pt_[(k + m - 1) % m] == run_pt_[k]) {
         return Fail("adjacent runs with identical points");
       }
-      prev = node;
     }
   }
 
   // Ownership: owner-by-runs equals the stored sample for every active
   // direction; the stored sample is a (possibly tied) argmax.
-  for (const auto& [d, pt] : samples_) {
-    auto* run = verts_.FindLessEqual(d);
-    if (run == nullptr) run = verts_.Last();
-    if (!(run->value == pt)) return Fail("run ownership mismatch");
+  const std::vector<HullSample> samples = Samples();
+  for (const HullSample& s : samples) {
+    const size_t k = RunUpperBound(s.direction);
+    const size_t owner = (k == 0 ? run_dir_.size() : k) - 1;
+    if (!(run_pt_[owner] == s.point)) return Fail("run ownership mismatch");
   }
-  if (samples_.size() <= 300) {
-    for (const auto& [d, pt] : samples_) {
-      const Point2 u = d.ToVector();
-      const double mine = Dot(pt, u);
-      for (const auto& [d2, pt2] : samples_) {
-        (void)d2;
-        if (Dot(pt2, u) > mine + 1e-9 * std::max(1.0, std::abs(mine))) {
+  if (samples.size() <= 300) {
+    for (const HullSample& s : samples) {
+      const Point2 u = s.direction.ToVector();
+      const double mine = Dot(s.point, u);
+      for (const HullSample& other : samples) {
+        if (Dot(other.point, u) > mine + 1e-9 * std::max(1.0, std::abs(mine))) {
           return Fail("stored sample is not the argmax in its direction");
         }
       }
@@ -1445,29 +1445,6 @@ Status AdaptiveHull::CheckConsistency() const {
       return Fail("incremental perimeter diverged from recomputation");
     }
     if (p_used_ + 1e-12 < p_raw_) return Fail("p_used below p_raw");
-  }
-
-  // Per-direction slack bookkeeping: every active non-uniform direction has
-  // a captured activation offset in [0, OffsetForLevel(level)]; no stale
-  // entries survive deactivation; no activation awaits its flush.
-  {
-    if (!pending_slack_.empty()) return Fail("unflushed pending slacks");
-    for (const auto& [d, s] : slack_) {
-      if (d.IsUniform()) return Fail("slack entry for a uniform direction");
-      if (samples_.find(d) == samples_.end()) {
-        return Fail("slack entry for an inactive direction");
-      }
-      if (!(s >= 0) ||
-          s > OffsetForLevel(d.level()) * (1.0 + 1e-9) + 1e-300) {
-        return Fail("slack outside [0, OffsetForLevel]");
-      }
-    }
-    for (const auto& [d, pt] : samples_) {
-      (void)pt;
-      if (!d.IsUniform() && slack_.find(d) == slack_.end()) {
-        return Fail("active non-uniform direction without a slack entry");
-      }
-    }
   }
 
   // Trees: structure, endpoint consistency, weights, direction census.
@@ -1490,12 +1467,11 @@ Status AdaptiveHull::CheckConsistency() const {
     if (!(n.lo == f.lo) || !(n.hi == f.hi) || n.depth != f.depth) {
       return Fail("node interval/depth mismatch");
     }
-    auto alo = samples_.find(n.lo);
-    auto ahi = samples_.find(n.hi);
-    if (alo == samples_.end() || ahi == samples_.end()) {
+    SampleRef alo, ahi;
+    if (!FindSample(n.lo, &alo) || !FindSample(n.hi, &ahi)) {
       return Fail("node endpoint direction inactive");
     }
-    if (!(n.pa == alo->second) || !(n.pb == ahi->second)) {
+    if (!(n.pa == PointOf(alo)) || !(n.pb == PointOf(ahi))) {
       return Fail("node endpoint point stale");
     }
     const double lt = ComputeLTilde(n.lo, n.hi, n.pa, n.pb);
@@ -1505,8 +1481,10 @@ Status AdaptiveHull::CheckConsistency() const {
     if (n.depth > cap_) return Fail("node beyond depth cap");
     if (n.IsInternal()) {
       ++internal_count;
-      if (samples_.find(n.mid) == samples_.end()) {
-        return Fail("bisection direction inactive");
+      // The captured activation offset lies in [0, OffsetForLevel(level)].
+      if (!(n.slack >= 0) ||
+          n.slack > OffsetForLevel(n.mid.level()) * (1.0 + 1e-9) + 1e-300) {
+        return Fail("slack outside [0, OffsetForLevel]");
       }
       stack.push_back(Frame{n.left, n.lo, n.mid, n.depth + 1});
       stack.push_back(Frame{n.right, n.mid, n.hi, n.depth + 1});
@@ -1515,15 +1493,15 @@ Status AdaptiveHull::CheckConsistency() const {
       if (Weight(n) > 1.0 + 1e-9) return Fail("leaf weight above 1");
     }
   }
-  if (samples_.size() != static_cast<size_t>(r) + internal_count) {
+  if (num_directions_ != static_cast<size_t>(r) + internal_count) {
     return Fail("active direction census mismatch");
   }
   if (!frozen_ && options_.mode == SamplingMode::kInvariant &&
-      samples_.size() > 2 * static_cast<size_t>(r) + 1) {
+      num_directions_ > 2 * static_cast<size_t>(r) + 1) {
     return Fail("more than 2r+1 sample directions");
   }
   if (options_.mode == SamplingMode::kFixedSize && !frozen_ &&
-      samples_.size() > fixed_target_) {
+      num_directions_ > fixed_target_) {
     return Fail("fixed-size mode exceeded its direction budget");
   }
   return Status::OK();

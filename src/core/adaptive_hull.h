@@ -23,13 +23,16 @@
 // internal node carries the threshold value of P at which it must be
 // unrefined, managed by a monotone bucket priority queue (§5.3).
 //
-// Data structures:
-//   samples_   ordered map: active sample direction -> its extreme point.
-//   verts_     rank-indexable skip list of the *distinct* hull vertices in
-//              CCW order (run-length compressed by first owned direction);
-//              this is the "searchable list" that makes per-point processing
-//              O(log r) amortized.
+// Data structures (flat arrays, sized from r by Reserve()):
+//   run_dir_,  the *distinct* hull vertices in CCW order (run-length
+//   run_pt_    compressed: each run's first owned direction and its point).
+//              run_pt_ is the "searchable list" FindVisibleChain reads with
+//              O(1) access, and the batch prefilter's polygon. A splice is
+//              a memmove of at most 2r+1 entries (DESIGN.md).
 //   nodes_     arena of refinement-tree nodes, one tree per uniform edge.
+//              A sample lives with its direction: a uniform direction's
+//              extremum in uniform_ext_, a refined one's in the internal
+//              node that bisects there (with its certified slack).
 //   queue_     monotone priority queue of unrefinement thresholds.
 //
 // All structural decisions use exact integer direction arithmetic
@@ -40,13 +43,11 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
 #include "common/status.h"
 #include "container/bucket_queue.h"
-#include "container/indexable_skiplist.h"
 #include "core/hull_engine.h"
 #include "core/options.h"
 #include "geom/convex_polygon.h"
@@ -73,21 +74,23 @@ class AdaptiveHull : public HullEngine {
   /// types report their own kinds).
   EngineKind kind() const override { return EngineKind::kAdaptive; }
 
-  /// Processes one stream point in amortized O(log r) time.
+  /// Processes one stream point: an O(log r) search, plus an O(r)
+  /// array splice when the point is accepted (DESIGN.md).
   void Insert(Point2 p) override;
 
   /// \brief Batched ingestion fast path. Produces exactly the summary a
   /// point-at-a-time Insert() loop would, but prefilters each point with a
-  /// strictly-inside test against a cached copy of the current sampled
-  /// polygon: an interior point can never win a sample direction, so it
-  /// skips the winning-set machinery, and the cache (and therefore the
-  /// per-point perimeter / unrefinement bookkeeping it guards) is refreshed
-  /// at most once per accepted point rather than once per offered point.
+  /// strictly-inside test against the current sampled polygon (the
+  /// vertex-run array itself): an interior point can never win a sample
+  /// direction, so it skips the winning-set machinery, and the prefilter's
+  /// cache (and therefore the per-point perimeter / unrefinement
+  /// bookkeeping it guards) is refreshed at most once per accepted point
+  /// rather than once per offered point.
   ///
   /// The prefilter has two conservative tiers. When SIMD dispatch is
   /// active, blocks of up to 8 points first run the branch-free lane
-  /// kernel (kernels::CertifyInteriorBatch) against a coarse <= 16-vertex
-  /// sub-polygon of the cache; points it certifies are discarded outright.
+  /// kernel (kernels::CertifyInteriorBatch) against a coarse <= 8-vertex
+  /// sub-polygon; points it certifies are discarded outright.
   /// Points it declines — near-boundary, degenerate, or simply outside the
   /// coarse polygon — fall back to the scalar O(log r) wedge test, and
   /// only then to the full insert path. Both tiers discard only points
@@ -97,13 +100,15 @@ class AdaptiveHull : public HullEngine {
   ///
   /// Calls Reserve() on entry; after the warm-up reservations, the batch
   /// hot path performs no heap allocation per offered point (rejected or
-  /// accepted) outside skip-list/arena growth, which is bounded by O(r)
-  /// total — the property bench_parallel_ingest's alloc counter pins.
+  /// accepted) outside the threshold queue's bucket churn — the property
+  /// bench_parallel_ingest's alloc counter and core_hot_path_alloc_test
+  /// pin.
   void InsertBatch(std::span<const Point2> points) override;
 
-  /// \brief Pre-sizes the node arena, the per-depth heaps, the batch
-  /// prefilter cache, and every insertion scratch buffer from r (all
-  /// summary state is O(r); \p expected_points only caps nothing here).
+  /// \brief Pre-sizes the vertex-run arrays, the node arena, the per-depth
+  /// heaps, the batch prefilter's SoA mirror, and every insertion scratch
+  /// buffer from r (all summary state is O(r); \p expected_points only caps
+  /// nothing here).
   /// Idempotent and cheap once capacities are reached.
   void Reserve(size_t expected_points) override;
 
@@ -132,7 +137,7 @@ class AdaptiveHull : public HullEngine {
   const AdaptiveHullOptions& options() const { return options_; }
 
   /// Number of active sample directions (r <= n <= 2r+1 in invariant mode).
-  size_t num_directions() const { return samples_.size(); }
+  size_t num_directions() const { return num_directions_; }
   /// Number of distinct stored sample points (<= num_directions()).
   size_t num_sample_points() const;
 
@@ -176,9 +181,9 @@ class AdaptiveHull : public HullEngine {
   /// \brief Native change tracking for the v3 delta encoder (see
   /// HullEngine::ChangedDirectionsSinceBaseline). The insertion machinery
   /// touches samples and slacks in exactly four places — initialization,
-  /// ApplyWin's extremum updates, direction activation (whose slack is
-  /// captured by FlushPendingSlacks), and direction deactivation — and
-  /// each marks its direction here, so the encoder diffs a handful of
+  /// ApplyWin's extremum updates, refinement (which captures the new
+  /// direction's slack), and unrefinement — and each marks its direction
+  /// here, so the encoder diffs a handful of
   /// directions instead of all 2r+1. Returns false (full diff) before the
   /// first baseline capture or after the touched set overflows its cap.
   bool ChangedDirectionsSinceBaseline(
@@ -219,7 +224,12 @@ class AdaptiveHull : public HullEngine {
     double ltilde = 0;  // Free-side length of the uncertainty triangle.
     uint32_t depth = 0;
     int32_t left = -1, right = -1;  // Arena indices; -1 for a leaf.
-    Direction mid;                  // Bisection direction (internal nodes).
+    // Internal nodes: the bisection direction, which is an active sample
+    // direction, with its extreme point and its certified slack (the Lemma
+    // 5.3 offset captured when the direction was activated).
+    Direction mid;
+    Point2 pm;
+    double slack = 0;
     uint32_t pq_gen = 0;  // Staleness stamp for queue/heap entries.
     bool allocated = false;
     bool IsInternal() const { return left >= 0; }
@@ -228,6 +238,22 @@ class AdaptiveHull : public HullEngine {
   struct QueueEntry {
     int32_t node;
     uint32_t gen;
+  };
+
+  // A position in the CCW order of the active sample directions: uniform
+  // direction `edge` (node < 0), or the bisector of internal node `node` of
+  // that edge's refinement tree.
+  struct SampleRef {
+    uint32_t edge = 0;
+    int32_t node = -1;
+    bool operator==(const SampleRef&) const = default;
+  };
+
+  // The directions a new point wins: count directions in CCW order from
+  // first to last (circularly). count == 0: none.
+  struct WonArc {
+    SampleRef first, last;
+    size_t count = 0;
   };
 
   // Lazy heap entry for fixed-size mode (per-depth heaps keyed by ltilde).
@@ -260,10 +286,10 @@ class AdaptiveHull : public HullEngine {
   // and num_points_ are already updated by the caller. Returns false when
   // the point won nothing (summary unchanged).
   bool InsertNonEmpty(Point2 p);
-  // Rebuilds the batch prefilter cache (distinct sampled-polygon vertices
-  // as a flat CCW array, plus the coordinate scale for error margins).
+  // Rebuilds the batch prefilter cache: the coordinate scale for error
+  // margins and the SoA mirror of run_pt_ (which is itself the polygon).
   void RefreshBatchCache();
-  // True only when p is strictly inside the cached sampled polygon by a
+  // True only when p is strictly inside the sampled polygon run_pt_ by a
   // margin that dominates every floating-point predicate error, so the
   // point provably cannot win any sample direction. False answers are
   // allowed (the point just takes the full Insert path).
@@ -273,21 +299,37 @@ class AdaptiveHull : public HullEngine {
   void InitializeWith(Point2 p);
   // The directions a new exterior point wins, in CCW order (contiguous,
   // possibly wrapping). Empty when the point is inside the uncertainty
-  // ring. The result lives in won_scratch_ (reused across insertions so
-  // the hot path stays allocation-free) and is valid until the next call.
-  const std::vector<Direction>& ComputeWinningSet(Point2 p);
-  const std::vector<Direction>& ComputeWinningSetBrute(Point2 p);
-  // Applies the win: samples_, verts_ runs, uniform extrema and perimeter.
-  void ApplyWin(Point2 p, const std::vector<Direction>& won);
-  // Adds direction d owned by point pt (refinement). d must be inactive.
-  void ActivateDirection(const Direction& d, Point2 pt);
-  // Removes direction d (unrefinement). d must be active and non-uniform.
-  void DeactivateDirection(const Direction& d);
-  // Records the invariant offset of every direction activated during the
-  // current insertion, evaluated with the post-insertion P (the moment the
-  // Lemma 5.3 invariant is re-established). Runs at the end of every
-  // InsertNonEmpty.
-  void FlushPendingSlacks();
+  // ring.
+  WonArc ComputeWinningSet(Point2 p);
+  WonArc ComputeWinningSetBrute(Point2 p);
+  // Applies the win: sample points, vertex runs, uniform extrema and
+  // perimeter.
+  void ApplyWin(Point2 p, const WonArc& won);
+  // Run bookkeeping and counters for direction d, just activated by
+  // refinement with point pt; next_dir is the active direction after it.
+  void ActivateDirection(const Direction& d, Point2 pt,
+                         const Direction& next_dir);
+  // The same for d, just deactivated by unrefinement.
+  void DeactivateDirection(const Direction& d, const Direction& next_dir);
+
+  // Sample access. Next/Prev step circularly in CCW order, descending the
+  // edge's tree (O(depth)); FindSample returns false for inactive d.
+  Direction DirOf(SampleRef s) const {
+    return s.node < 0 ? Direction::Uniform(s.edge, options_.r) : N(s.node).mid;
+  }
+  Point2 PointOf(SampleRef s) const {
+    return s.node < 0 ? uniform_ext_[s.edge] : N(s.node).pm;
+  }
+  SampleRef NextSample(SampleRef s) const;
+  SampleRef PrevSample(SampleRef s) const;
+  bool FindSample(const Direction& d, SampleRef* out) const;
+  // Index of the first run whose first direction is >= d (> d for
+  // RunUpperBound); run_dir_.size() if none.
+  size_t RunLowerBound(const Direction& d) const;
+  size_t RunUpperBound(const Direction& d) const;
+  // Splices the parallel run arrays.
+  void InsertRun(size_t k, const Direction& d, Point2 pt);
+  void EraseRuns(size_t first, size_t last);
 
   // --- Tree maintenance ---
   // Leaves the collapsed nodes (with their post-collapse generation) in
@@ -328,11 +370,6 @@ class AdaptiveHull : public HullEngine {
   void UpdateUniform(Point2 p, uint32_t j_first, uint32_t j_last);
   double RecomputeUniformPerimeter() const;
 
-  // Circular iteration over samples_.
-  using SampleMap = std::map<Direction, Point2>;
-  SampleMap::const_iterator NextSample(SampleMap::const_iterator it) const;
-  SampleMap::const_iterator PrevSample(SampleMap::const_iterator it) const;
-
   void CollectLeaves(int32_t idx, std::vector<int32_t>* out) const;
 
   // --- State ---
@@ -348,24 +385,23 @@ class AdaptiveHull : public HullEngine {
   // the set outgrows its O(r) cap.
   void MarkWireDirty(const Direction& d);
 
-  SampleMap samples_;
-  // Per-direction certified slack of every active non-uniform direction:
-  // the Lemma 5.3 offset captured when the direction was (last) activated.
-  // Kept in lockstep with samples_ (activation inserts via
-  // FlushPendingSlacks, deactivation erases).
-  std::map<Direction, double> slack_;
-  // Directions activated during the current insertion, awaiting their
-  // post-insertion slack capture.
-  std::vector<Direction> pending_slack_;
-  // Distinct-vertex runs: first owned direction -> vertex point.
-  IndexableSkipList<Direction, Point2> verts_;
+  size_t num_directions_ = 0;  // Active sample directions.
+  // Distinct-vertex runs in CCW order: run k owns the active directions
+  // from run_dir_[k] up to (not including) run_dir_[k + 1], circularly, and
+  // their extreme point is run_pt_[k]. Adjacent runs (the last and the
+  // first included) hold distinct points, so run_pt_ is the sampled
+  // polygon itself.
+  std::vector<Direction> run_dir_;
+  std::vector<Point2> run_pt_;
 
   std::vector<RefNode> nodes_;
   std::vector<int32_t> free_nodes_;
   std::vector<int32_t> roots_;  // One per uniform edge.
 
-  std::vector<Point2> uniform_ext_;        // Extremum per uniform direction.
-  std::map<uint32_t, Point2> uniform_runs_;  // Run starts among uniform dirs.
+  std::vector<Point2> uniform_ext_;  // Sample point per uniform direction.
+  // Sorted run starts among the uniform directions; run j's point is
+  // uniform_ext_[j].
+  std::vector<uint32_t> uniform_runs_;
   double p_raw_ = 0;   // Current uniformly-sampled-hull perimeter.
   double p_used_ = 0;  // Running maximum (the P in all formulas).
 
@@ -383,18 +419,19 @@ class AdaptiveHull : public HullEngine {
   std::vector<Direction> wire_dirty_;
   bool wire_dirty_all_ = true;
 
-  // Batch prefilter cache: flat CCW copy of the distinct sampled-polygon
-  // vertices, valid only within InsertBatch between accepted points. The
-  // buffer (capacity) persists across batches; only its contents are
-  // rebuilt, so steady-state refreshes allocate nothing.
-  std::vector<Point2> batch_cache_;
+  // Batch prefilter cache, valid only within InsertBatch between accepted
+  // points: the coordinate scale of run_pt_ for the error margins.
   double batch_cache_scale_ = 0;
   // Points per SIMD prefilter block (a multiple of every lane width).
   static constexpr size_t kPrefilterBlock = 8;
-  // Coarse sub-polygon of batch_cache_ in SoA edge form for the lane
+  // After an accepted point invalidates the cache, the next refresh waits
+  // for (vertex count / kBatchCooldownDivisor) offered points, which take
+  // the plain insert path meanwhile (DESIGN.md, "Cooldown").
+  static constexpr size_t kBatchCooldownDivisor = 8;
+  // Coarse sub-polygon of run_pt_ in SoA edge form for the lane
   // kernel: every stride-th vertex so at most kBatchSoaMaxEdges edges are
-  // tested per point regardless of r. Rebuilt alongside batch_cache_;
-  // capacity persists, so steady-state refreshes allocate nothing.
+  // tested per point regardless of r. Rebuilt with the cache; capacity
+  // persists, so steady-state refreshes allocate nothing.
   // 8 keeps the kernel at two 4-lane edge groups per point: a coarser
   // sub-polygon certifies slightly fewer near-boundary interiors (they
   // fall to the wedge tier, unchanged summary), but halves the edge-loop
@@ -407,13 +444,9 @@ class AdaptiveHull : public HullEngine {
   // hot path performs zero heap allocations once warmed up (Reserve()
   // pre-sizes them from r). Each is valid only within the call that fills
   // it; none is part of the summary state.
-  std::vector<Direction> won_scratch_;    // ComputeWinningSet* result.
-  std::vector<Direction> ws_rside_;       // Right-boundary CW walk.
-  std::vector<Direction> brute_dirs_;     // Brute path: direction order.
-  std::vector<char> brute_won_;           // Brute path: per-direction flag.
-  std::vector<Direction> erase_scratch_;  // ApplyWin: runs to delete.
-  std::vector<Point2> uu_pts_scratch_;    // UpdateUniform: erased points.
-  std::vector<uint32_t> uu_keys_scratch_; // UpdateUniform: erased keys.
+  std::vector<SampleRef> brute_refs_;   // Brute path: CCW sample order.
+  std::vector<char> brute_won_;         // Brute path: per-sample flag.
+  std::vector<Point2> uu_pts_scratch_;  // UpdateUniform: erased points.
   std::vector<QueueEntry> ready_scratch_;      // PopBelow output.
   std::vector<QueueEntry> collapsed_scratch_;  // ProcessUnrefinements out.
 
@@ -431,7 +464,7 @@ class UniformHull final : public HullEngine {
 
   EngineKind kind() const override { return EngineKind::kUniform; }
 
-  /// Processes one stream point in amortized O(log r) time.
+  /// Processes one stream point (see AdaptiveHull::Insert).
   void Insert(Point2 p) override { hull_.Insert(p); }
   /// Batched ingestion (AdaptiveHull's prefiltered fast path).
   void InsertBatch(std::span<const Point2> points) override {

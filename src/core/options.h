@@ -49,15 +49,6 @@ struct AdaptiveHullOptions {
   /// Priority queue backing the unrefinement thresholds.
   ThresholdQueueKind queue_kind = ThresholdQueueKind::kBucket;
 
-  /// \brief Accept-cooldown divisor for the batched-ingestion prefilter.
-  /// After an accepted point invalidates the cached polygon, the next
-  /// rebuild waits for ~cache_size / batch_cooldown_divisor offered points
-  /// (which take the plain insert path meanwhile), amortizing the O(r)
-  /// refresh on accept-heavy streams. 0 disables the cooldown (refresh
-  /// immediately after every accept). Affects performance only, never the
-  /// summary: the prefilter discards only provably-no-op points.
-  uint32_t batch_cooldown_divisor = 8;
-
   /// Validates option consistency.
   Status Validate() const;
 

@@ -12,8 +12,8 @@
 //     size_t View::size() const;          // vertex count m
 //     Point2 View::operator[](size_t i);  // i-th vertex, CCW order
 //
-// -- so the same code serves a std::vector-backed polygon (O(1) access) and
-// the adaptive hull's rank-indexable skip list (O(log m) access). The fast
+// -- so the same code serves any random-access CCW vertex sequence, such as
+// a std::vector (the adaptive hull's vertex-run array is one). The fast
 // path runs in O(log m) view accesses: a fan binary search from vertex 0
 // finds one visible edge, then exponential (galloping) searches locate the
 // two ends of the visible run. A linear-scan reference implementation is
@@ -115,7 +115,7 @@ std::optional<VisibleChain> FindVisibleChainBrute(const View& view, Point2 q) {
 // and land back inside the visible one.)
 
 /// \brief O(log m) visible-chain search (O(log^2 m) when view access is
-/// itself logarithmic, as with the skip-list view).
+/// itself logarithmic).
 ///
 /// Phases: (1) a fan binary search from vertex 0 locates one visible edge or
 /// proves q is inside; (2) a binary search over the (circularly monotone)

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include "common/rng.h"
 #include "core/adaptive_hull.h"
 #include "core/partially_adaptive.h"
-#include "core/snapshot.h"
 #include "geom/convex_hull.h"
 #include "queries/queries.h"
 #include "stream/generators.h"
@@ -456,34 +454,6 @@ TEST(AdaptiveHullTest, PrefilterTierCountersSumToTotal) {
             st.batch_simd_rejections + st.batch_scalar_rejections);
   EXPECT_GT(st.batch_cache_refreshes, 0u);
   ASSERT_TRUE(h.CheckConsistency().ok()) << h.CheckConsistency().ToString();
-}
-
-TEST(AdaptiveHullTest, CooldownDivisorTradesRefreshWorkNotSummary) {
-  const std::vector<Point2> pts = MixedPrefilterStream(20000, 181);
-  auto run = [&pts](uint32_t divisor) {
-    AdaptiveHullOptions o = Opts(64);
-    o.batch_cooldown_divisor = divisor;
-    AdaptiveHull h(o);
-    h.InsertBatch(pts);
-    EXPECT_TRUE(h.CheckConsistency().ok());
-    return std::pair<uint64_t, std::string>(h.stats().batch_cache_refreshes,
-                                            EncodeSummaryView(h));
-  };
-
-  // divisor 0 disables the cooldown entirely: every accept triggers an
-  // immediate refresh. Larger cooldowns (divisor 1 = a full cache-size
-  // wait) coalesce accept bursts into fewer rebuilds.
-  const auto [refreshes_off, bytes_off] = run(0);
-  const auto [refreshes_default, bytes_default] = run(8);
-  const auto [refreshes_long, bytes_long] = run(1);
-  EXPECT_GT(refreshes_long, 0u);
-  EXPECT_GT(refreshes_off, refreshes_default);
-  EXPECT_GT(refreshes_default, refreshes_long);
-
-  // The knob trades refresh work against prefilter coverage; the summary
-  // itself is untouchable.
-  EXPECT_EQ(bytes_off, bytes_default);
-  EXPECT_EQ(bytes_default, bytes_long);
 }
 
 }  // namespace

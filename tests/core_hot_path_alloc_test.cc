@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -94,7 +95,8 @@ TEST(HotPathAllocTest, SteadyStateMixedIngestionAllocatesNothing) {
   // churning the refinement trees — the accept path, not just the
   // prefilter. After warm-up on the same distribution, accepted points
   // must run entirely out of the reused scratch buffers, the node arena's
-  // free list, and the skip list's preallocated pool... or this fails.
+  // free list, and the engine's reserved vertex-run arrays... or this
+  // fails.
   AdaptiveHullOptions o = Opts(32);
   auto mixed = [](uint64_t seed, size_t n) {
     Rng rng(seed);
@@ -118,8 +120,8 @@ TEST(HotPathAllocTest, SteadyStateMixedIngestionAllocatesNothing) {
   const uint64_t allocs =
       CountAllocations([&] { hull.InsertBatch(probe); });
   // Rejected points allocate nothing; the rare accepted point may still
-  // allocate O(1) node-based-container nodes (samples_/slack_ map entries,
-  // skip-list vertices) when it displaces structure. The bound is
+  // allocate O(1) times (the threshold queue's buckets) when it displaces
+  // structure. The bound is
   // therefore per *accepted* point plus a small constant — if any per-
   // offered-point allocation (the old ComputeWinningSet/ApplyWin vectors)
   // sneaks back in, the left side jumps by ~30000 and this fails loudly.
@@ -131,6 +133,52 @@ TEST(HotPathAllocTest, SteadyStateMixedIngestionAllocatesNothing) {
   EXPECT_LT(allocs, probe.size() / 10)
       << "allocation volume no longer amortizes over the batch";
   EXPECT_TRUE(hull.CheckConsistency().ok());
+}
+
+// The accept path itself. Every spiral point is a hull vertex, and a drift
+// walk keeps extending its hull, so most offered points win directions and
+// splice the vertex-run arrays, which Reserve() sized from r; kAdaptive also
+// refines and unrefines out of the node arena's free list. A warmed-up
+// kUniform engine (which never refines) must not allocate at all.
+// kAdaptive's one node container left is the threshold queue's bucket map,
+// whose churn stays far below one allocation per accepted point.
+TEST(HotPathAllocTest, AcceptedPointsViaInsertBatchAllocateNothing) {
+  constexpr size_t kWarmup = 20000;
+  constexpr size_t kProbe = 20000;
+  struct Stream {
+    const char* name;
+    std::vector<Point2> points;
+  };
+  DriftWalkGenerator drift(5);
+  SpiralGenerator spiral(5);
+  const Stream streams[] = {{"drift-walk", drift.Take(kWarmup + kProbe)},
+                            {"spiral", spiral.Take(kWarmup + kProbe)}};
+  for (const EngineKind kind : {EngineKind::kUniform, EngineKind::kAdaptive}) {
+    for (const uint32_t r : {16u, 64u}) {
+      for (const Stream& stream : streams) {
+        SCOPED_TRACE(std::string(EngineKindName(kind)) + " r=" +
+                     std::to_string(r) + " " + stream.name);
+        EngineOptions o;
+        o.hull.r = r;
+        auto engine = MakeEngine(kind, o);
+        const std::span<const Point2> all(stream.points);
+        engine->InsertBatch(all.first(kWarmup));
+
+        const uint64_t discarded_before = engine->stats().points_discarded;
+        const uint64_t allocs = CountAllocations(
+            [&] { engine->InsertBatch(all.subspan(kWarmup)); });
+        const uint64_t accepted =
+            kProbe - (engine->stats().points_discarded - discarded_before);
+        ASSERT_GT(accepted, kProbe / 100) << "the probe must exercise accepts";
+        if (kind == EngineKind::kUniform) {
+          EXPECT_EQ(allocs, 0u) << "accepted=" << accepted;
+        } else {
+          EXPECT_LE(allocs, accepted / 20) << "accepted=" << accepted;
+        }
+        EXPECT_TRUE(engine->CheckConsistency().ok());
+      }
+    }
+  }
 }
 
 TEST(HotPathAllocTest, ReserveIsIdempotentAndPreSizes) {
