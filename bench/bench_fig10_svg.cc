@@ -41,7 +41,7 @@ int main() {
   {
     SvgCanvas canvas(900, 400);
     canvas.AddPoints(stream, "#c8c8c8", 0.6);
-    canvas.AddHullFigure(uniform.engine(), "#b40426", "#6a9fd8");
+    canvas.AddHullFigure(uniform, "#b40426", "#6a9fd8");
     if (!canvas.WriteFile("fig10_uniform.svg").ok()) {
       std::fprintf(stderr, "failed to write fig10_uniform.svg\n");
       return 1;

@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "core/snapshot.h"  // InvariantOffset (defined below).
 #include "geom/convex_view.h"
-#include "geom/kernels.h"
 
 namespace streamhull {
 
@@ -31,16 +30,19 @@ double LevelSeriesPrefix(uint32_t i) {
   return kPrefix[std::min<uint32_t>(i, 64)];
 }
 
+const AdaptiveHullOptions& Validated(const AdaptiveHullOptions& options) {
+  SH_CHECK(options.Validate().ok() && "invalid AdaptiveHullOptions");
+  return options;
+}
+
 }  // namespace
 
 AdaptiveHull::AdaptiveHull(const AdaptiveHullOptions& options)
-    : options_(options) {
-  Status st = options.Validate();
-  SH_CHECK(st.ok() && "invalid AdaptiveHullOptions");
+    : options_(Validated(options)),
+      roots_(options.r, -1),
+      uniform_(options.r) {
   cap_ = static_cast<uint32_t>(options_.EffectiveTreeHeight());
   fixed_target_ = options_.EffectiveFixedDirections();
-  roots_.assign(options_.r, -1);
-  uniform_ext_.assign(options_.r, Point2{});
   leaf_heaps_.resize(cap_ + 1);
   internal_heaps_.resize(cap_ + 1);
 }
@@ -101,8 +103,9 @@ double AdaptiveHull::ComputeLTilde(const Direction& lo, const Direction& hi,
 }
 
 double AdaptiveHull::Weight(const RefNode& n) const {
-  if (p_used_ <= 0) return -static_cast<double>(n.depth);
-  return static_cast<double>(options_.r) * n.ltilde / p_used_ -
+  const double p_used = uniform_.p_used();
+  if (p_used <= 0) return -static_cast<double>(n.depth);
+  return static_cast<double>(options_.r) * n.ltilde / p_used -
          static_cast<double>(n.depth);
 }
 
@@ -240,12 +243,9 @@ void AdaptiveHull::InitializeWith(Point2 p) {
   wire_dirty_all_ = true;
   wire_dirty_.clear();
   num_directions_ = r;
-  for (uint32_t j = 0; j < r; ++j) uniform_ext_[j] = p;
+  uniform_.Initialize(p);
   run_dir_.assign(1, Direction::Uniform(0, r));
   run_pt_.assign(1, p);
-  uniform_runs_.assign(1, 0);
-  p_raw_ = 0;
-  p_used_ = 0;
   for (uint32_t j = 0; j < r; ++j) {
     int32_t idx = AllocNode();
     RefNode& n = N(idx);
@@ -363,7 +363,7 @@ void AdaptiveHull::ApplyWin(Point2 p, const WonArc& won) {
   const Point2 after_pt = PointOf(after_ref);
 
   // Update the stored extremum for every won direction; the uniform ones
-  // (a contiguous range [jf, jl]) are updated by UpdateUniform below.
+  // (a contiguous range [jf, jl]) are updated by the uniform layer below.
   bool any_uniform = false;
   uint32_t jf = 0, jl = 0;
   SampleRef it = won.first;
@@ -405,120 +405,7 @@ void AdaptiveHull::ApplyWin(Point2 p, const WonArc& won) {
     if (succ != a && run_pt_[succ] == run_pt_[a]) EraseRuns(succ, succ + 1);
   }
 
-  if (any_uniform) UpdateUniform(p, jf, jl);
-}
-
-double AdaptiveHull::RecomputeUniformPerimeter() const {
-  const size_t k = uniform_runs_.size();
-  if (k <= 1) return 0.0;
-  double sum = 0.0;
-  for (size_t i = 1; i < k; ++i) {
-    sum += Distance(uniform_ext_[uniform_runs_[i - 1]],
-                    uniform_ext_[uniform_runs_[i]]);
-  }
-  sum += Distance(uniform_ext_[uniform_runs_[k - 1]],
-                  uniform_ext_[uniform_runs_[0]]);
-  return sum;
-}
-
-void AdaptiveHull::UpdateUniform(Point2 p, uint32_t jf, uint32_t jl) {
-  const uint32_t r = options_.r;
-  std::vector<uint32_t>& runs = uniform_runs_;
-  const size_t won_count = (jl + r - jf) % r + 1;  // |[jf, jl]|, circular.
-  const double old_p_raw = p_raw_;
-  auto in_interval = [&](uint32_t j) {
-    if (jf <= jl) return j >= jf && j <= jl;
-    return j >= jf || j <= jl;
-  };
-
-  // Run starts inside [jf, jl] occupy [lo, hi) (wrapping: [lo, end) and
-  // [0, hi)). Everything read here is the extrema as they were, so it
-  // precedes the update below.
-  const size_t k = runs.size();
-  const size_t lo = static_cast<size_t>(
-      std::lower_bound(runs.begin(), runs.end(), jf) - runs.begin());
-  const size_t hi = static_cast<size_t>(
-      std::upper_bound(runs.begin(), runs.end(), jl) - runs.begin());
-
-  // Decide between the incremental perimeter update and a full recompute.
-  bool incremental = k > 4 && won_count < r;
-  Point2 a_pt{}, b_pt{};
-  uint32_t b_key = 0;
-  if (incremental) {
-    const uint32_t a_key = runs[(lo + k - 1) % k];  // Largest < jf, circular.
-    b_key = runs[hi % k];                           // Smallest > jl, circular.
-    if (in_interval(a_key) || in_interval(b_key)) {
-      incremental = false;
-    } else {
-      a_pt = uniform_ext_[a_key];
-      b_pt = uniform_ext_[b_key];
-    }
-  }
-
-  // Erase run starts inside the interval, remembering their points in CCW
-  // order from jf.
-  std::vector<Point2>& erased_pts = uu_pts_scratch_;
-  erased_pts.clear();
-  const auto erase = [&](size_t first, size_t last) {
-    for (size_t i = first; i < last; ++i) {
-      erased_pts.push_back(uniform_ext_[runs[i]]);
-    }
-    runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(first),
-               runs.begin() + static_cast<std::ptrdiff_t>(last));
-  };
-  if (jf <= jl) {
-    erase(lo, hi);
-  } else {
-    erase(lo, k);
-    erase(0, hi);
-  }
-
-  // Update per-direction extrema over the (circular) range [jf, jl].
-  for (uint32_t j = jf;; j = (j + 1) % r) {
-    uniform_ext_[j] = p;
-    if (j == jl) break;
-  }
-
-  runs.insert(std::lower_bound(runs.begin(), runs.end(), jf), jf);
-  const uint32_t jnext = (jl + 1) % r;
-  bool inserted_jnext = false;
-  if (won_count < r) {
-    const auto it = std::lower_bound(runs.begin(), runs.end(), jnext);
-    if (it == runs.end() || *it != jnext) {
-      runs.insert(it, jnext);
-      inserted_jnext = true;
-    }
-  }
-
-  if (!incremental) {
-    p_raw_ = RecomputeUniformPerimeter();
-  } else {
-    // Old local path a -> erased runs -> b; new local path a -> p [-> the
-    // re-anchored owner at jnext] -> b.
-    double old_len;
-    if (erased_pts.empty()) {
-      old_len = Distance(a_pt, b_pt);
-    } else {
-      old_len = Distance(a_pt, erased_pts.front());
-      for (size_t i = 0; i + 1 < erased_pts.size(); ++i) {
-        old_len += Distance(erased_pts[i], erased_pts[i + 1]);
-      }
-      old_len += Distance(erased_pts.back(), b_pt);
-    }
-    double new_len = Distance(a_pt, p);
-    if (inserted_jnext && jnext != b_key) {
-      new_len += Distance(p, uniform_ext_[jnext]) +
-                 Distance(uniform_ext_[jnext], b_pt);
-    } else {
-      new_len += Distance(p, b_pt);
-    }
-    p_raw_ = old_p_raw + (new_len - old_len);
-  }
-
-  if (p_raw_ > p_used_) {
-    p_used_ = p_raw_;
-  }
-  if (p_raw_ < old_p_raw - 1e-9 * std::max(1.0, old_p_raw)) {
+  if (any_uniform && uniform_.Update(p, jf, jl, &uu_pts_scratch_)) {
     ++stats_.perimeter_decreases;
   }
 }
@@ -593,9 +480,10 @@ void AdaptiveHull::EnqueueThreshold(int32_t idx) {
     // Round down to a power of two (§5.3). If the rounded bucket would pop
     // immediately even though the exact threshold is still above P (churn),
     // round *up* instead — at most 2x-late unrefinement.
+    const double p_used = uniform_.p_used();
     int exp = PowerOfTwoExponent(thresh);
-    if (p_used_ > 0 && std::ldexp(1.0, exp) < p_used_) {
-      exp = PowerOfTwoExponent(p_used_) + 1;
+    if (p_used > 0 && std::ldexp(1.0, exp) < p_used) {
+      exp = PowerOfTwoExponent(p_used) + 1;
     }
     bucket_queue_.PushExponent(exp, e);
   } else {
@@ -607,9 +495,9 @@ void AdaptiveHull::ProcessUnrefinements() {
   std::vector<QueueEntry>& ready = ready_scratch_;
   ready.clear();
   if (options_.queue_kind == ThresholdQueueKind::kBucket) {
-    bucket_queue_.PopBelow(p_used_, &ready);
+    bucket_queue_.PopBelow(uniform_.p_used(), &ready);
   } else {
-    heap_queue_.PopBelow(p_used_, &ready);
+    heap_queue_.PopBelow(uniform_.p_used(), &ready);
   }
   collapsed_scratch_.clear();
   for (const QueueEntry& e : ready) {
@@ -719,8 +607,8 @@ void AdaptiveHull::RebuildRange(const Direction& won_first,
   while (true) {
     const Direction lo = Direction::Uniform(e, r);
     const Direction hi = Direction::Uniform((e + 1) % r, r);
-    RebuildNode(roots_[e], lo, hi, uniform_ext_[e], uniform_ext_[(e + 1) % r],
-                0, won_first, won_last);
+    RebuildNode(roots_[e], lo, hi, uniform_.extremum(e),
+                uniform_.extremum((e + 1) % r), 0, won_first, won_last);
     if (e == e_last) break;
     e = (e + 1) % r;
   }
@@ -833,8 +721,8 @@ int32_t AdaptiveHull::BestLeaf(double* weight_out) {
     h.resize(write);
     if (local < 0) continue;
     const double w =
-        (p_used_ > 0
-             ? static_cast<double>(options_.r) * local_lt / p_used_
+        (uniform_.p_used() > 0
+             ? static_cast<double>(options_.r) * local_lt / uniform_.p_used()
              : local_lt) -
         static_cast<double>(d);
     if (w > best_w) {
@@ -874,8 +762,8 @@ int32_t AdaptiveHull::WorstInternal(double* weight_out) {
     h.resize(write);
     if (local < 0) continue;
     const double w =
-        (p_used_ > 0
-             ? static_cast<double>(options_.r) * local_lt / p_used_
+        (uniform_.p_used() > 0
+             ? static_cast<double>(options_.r) * local_lt / uniform_.p_used()
              : local_lt) -
         static_cast<double>(d);
     if (w < best_w) {
@@ -1010,120 +898,18 @@ void AdaptiveHull::OnWireBaselineCaptured() {
 // Batched ingestion
 // ---------------------------------------------------------------------------
 
-void AdaptiveHull::RefreshBatchCache() {
-  // run_pt_ already is the distinct CCW polygon the prefilter tests
-  // against; only its coordinate scale and SoA mirror are derived here.
-  double scale = 0;
-  for (const Point2& v : run_pt_) {
-    scale = std::max({scale, std::abs(v.x), std::abs(v.y)});
-  }
-  batch_cache_scale_ = scale;
-  ++stats_.batch_cache_refreshes;
-  // SoA mirror for the SIMD tier: a coarse sub-polygon of every stride-th
-  // vertex, capped at kBatchSoaMaxEdges edges. Any vertex subset of a
-  // convex polygon spans a convex polygon contained in it, so certifying
-  // strict interiority against the subset certifies it against the full
-  // polygon — and the lane kernel's cost stays O(1) per point no matter
-  // how large r makes the polygon.
-  const size_t m = run_pt_.size();
-  const size_t stride = (m + kBatchSoaMaxEdges - 1) / kBatchSoaMaxEdges;
-  if (m >= 3) {
-    batch_soa_.Build(run_pt_, stride, batch_cache_scale_);
-  } else {
-    batch_soa_.Clear();
-  }
-}
-
-namespace {
-
-// Strict left-of-segment test with a certified margin: returns true only
-// when Orient(a, b, p) is positive in exact arithmetic AND p is at least
-// ~1e-12 * scale away from the supporting line. The first summand covers
-// the rounding error of the determinant itself (Shewchuk's A-estimate has
-// constant ~3.3e-16; 1e-12 gives >1000x slack), the second converts the
-// required Euclidean clearance into determinant units via |b - a|_1.
-bool StrictlyLeftByMargin(Point2 a, Point2 b, Point2 p, double scale) {
-  const double dx = b.x - a.x;
-  const double dy = b.y - a.y;
-  const double t1 = dx * (p.y - a.y);
-  const double t2 = dy * (p.x - a.x);
-  const double margin =
-      1e-12 * (std::abs(t1) + std::abs(t2) +
-               scale * (std::abs(dx) + std::abs(dy)));
-  return t1 - t2 > margin;
-}
-
-}  // namespace
-
-bool AdaptiveHull::BatchCacheRejects(Point2 p) const {
-  const std::vector<Point2>& v = run_pt_;
-  const size_t m = v.size();
-  if (m < 3) {
-    // Degenerate caches (a repeated-point or collinear-start stream) still
-    // prefilter, but only where a certificate exists. An exact duplicate of
-    // a stored vertex evaluates every Beats() dot product to the identical
-    // float, so the strict > can never fire: provably a no-op. (NaN
-    // coordinates fail == and fall through to the full path.)
-    if (m == 1) return p == v[0];
-    if (m == 2) {
-      if (p == v[0] || p == v[1]) return true;
-      // Axis-aligned collinear and strictly between the endpoints: with
-      // the off-axis coordinate exactly shared, every Beats() comparison
-      // reduces to fl(c*t + k) vs fl(c*t' + k) with t strictly between t'
-      // of the endpoints — rounding a monotone function keeps it weakly
-      // monotone, and a cache this small means incumbents came from the
-      // brute winning-set path (FP running maxima), so the duplicate-free
-      // strict > cannot fire. General-slope collinearity has no such
-      // certificate and takes the full path.
-      const Point2 a = v[0];
-      const Point2 b = v[1];
-      if (a.y == b.y && p.y == a.y) {
-        return p.x > std::min(a.x, b.x) && p.x < std::max(a.x, b.x);
-      }
-      if (a.x == b.x && p.x == a.x) {
-        return p.y > std::min(a.y, b.y) && p.y < std::max(a.y, b.y);
-      }
-      return false;
-    }
-    return false;
-  }
-  const double scale =
-      std::max({batch_cache_scale_, std::abs(p.x), std::abs(p.y)});
-  // Wedge binary search from v[0] (plain predicates; a wrong wedge near a
-  // degeneracy only makes the final margin tests fail, never misreject).
-  const Point2 v0 = v[0];
-  if (Orient(v0, v[1], p) < 0 || Orient(v0, v[m - 1], p) > 0) return false;
-  size_t lo = 1, hi = m - 1;
-  while (hi - lo > 1) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (Orient(v0, v[mid], p) >= 0) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  // p must be strictly inside triangle (v0, v[lo], v[hi]) by the certified
-  // margin. The triangle is contained in the sampled polygon, so clearance
-  // from its sides lower-bounds clearance from the polygon boundary, which
-  // in turn dominates the dot-product noise of every Beats() predicate: the
-  // point provably wins no sample direction (see DESIGN.md).
-  return StrictlyLeftByMargin(v0, v[lo], p, scale) &&
-         StrictlyLeftByMargin(v[lo], v[hi], p, scale) &&
-         StrictlyLeftByMargin(v[hi], v0, p, scale);
-}
-
 void AdaptiveHull::Reserve(size_t expected_points) {
   (void)expected_points;  // All summary state is O(r); capacities come
                           // from r, not from the stream length.
   const size_t dirs = 2 * static_cast<size_t>(options_.r) + 2;
   run_dir_.reserve(dirs);
   run_pt_.reserve(dirs);
-  uniform_runs_.reserve(options_.r);
+  uniform_.Reserve();
   // Arena: r roots plus 2 children per internal node, at most r+1 internal
   // nodes live at once (Theorem 5.4); churn reuses the free list.
   nodes_.reserve(3 * static_cast<size_t>(options_.r) + 4);
   free_nodes_.reserve(dirs);
-  batch_soa_.Reserve(kBatchSoaMaxEdges);
+  prefilter_.Reserve();
   brute_refs_.reserve(dirs);
   brute_won_.reserve(dirs);
   uu_pts_scratch_.reserve(dirs);
@@ -1143,107 +929,8 @@ void AdaptiveHull::InsertBatch(std::span<const Point2> points) {
     Insert(points[0]);
     i = 1;
   }
-  ++stats_.batches;
-  bool cache_valid = false;
-  // Each accepted point invalidates the cache; rebuilding it costs O(r).
-  // The cooldown makes the next rebuild wait for ~vertices/divisor offered
-  // points (which meanwhile take the plain Insert path), so accept-heavy
-  // streams pay O(1) amortized refresh work per point instead of O(r),
-  // while interior-heavy streams — where accepts are rare — still spend
-  // almost the whole batch in the prefilter. The wait is sized from the
-  // polygon the cache was built from, before the accept changed it.
-  size_t cooldown = 0;
-  size_t cooldown_after_accept = 0;
-  // The SIMD tier only pays off when a lane kernel actually backs it;
-  // under scalar dispatch the wedge test alone is the faster filter.
-  const bool use_lanes = ActiveSimdIsa() != SimdIsa::kScalar;
-  while (i < points.size()) {
-    if (!cache_valid) {
-      const Point2 p = points[i];
-      ++stats_.points_processed;
-      ++num_points_;
-      ++i;
-      if (cooldown > 0) {
-        --cooldown;
-        InsertNonEmpty(p);
-        continue;
-      }
-      RefreshBatchCache();
-      cache_valid = true;
-      cooldown_after_accept = run_pt_.size() / kBatchCooldownDivisor;
-      // Fall through: p must still be offered against the fresh cache.
-      if (BatchCacheRejects(p)) {
-        ++stats_.points_discarded;
-        ++stats_.batch_prefilter_rejections;
-        ++stats_.batch_scalar_rejections;
-        continue;
-      }
-      if (InsertNonEmpty(p)) {
-        cache_valid = false;
-        cooldown = cooldown_after_accept;
-      }
-      continue;
-    }
-    if (use_lanes && batch_soa_.CanCertify()) {
-      // SIMD tier: certify a block of points against the coarse
-      // sub-polygon in one branch-free sweep, then walk the mask. An
-      // accepted point invalidates the cache mid-block; the remaining
-      // mask entries are discarded (they were certified against the
-      // now-stale polygon).
-      const size_t block = std::min(kPrefilterBlock, points.size() - i);
-      CertifyInteriorBatch(batch_soa_, points.data() + i, block,
-                           prefilter_mask_.data());
-      // Counters accumulate in locals and flush once per block: the
-      // member RMWs alias the (char-typed) mask array in the compiler's
-      // eyes, so per-point increments would re-load the mask every
-      // iteration. InsertNonEmpty never reads num_points_ or the
-      // ingestion counters, so deferring the flush is unobservable.
-      size_t j = 0;
-      uint64_t lane_rejects = 0;
-      uint64_t wedge_rejects = 0;
-      for (; j < block; ++j) {
-        if (prefilter_mask_[j]) {
-          ++lane_rejects;
-          continue;
-        }
-        const Point2 p = points[i + j];
-        if (BatchCacheRejects(p)) {
-          ++wedge_rejects;
-          continue;
-        }
-        if (InsertNonEmpty(p)) {
-          cache_valid = false;
-          cooldown = cooldown_after_accept;
-          ++j;
-          break;
-        }
-      }
-      i += j;
-      stats_.points_processed += j;
-      num_points_ += j;
-      stats_.points_discarded += lane_rejects + wedge_rejects;
-      stats_.batch_prefilter_rejections += lane_rejects + wedge_rejects;
-      stats_.batch_simd_rejections += lane_rejects;
-      stats_.batch_scalar_rejections += wedge_rejects;
-      continue;
-    }
-    // Scalar tier: the O(log r) wedge test, one point at a time.
-    const Point2 p = points[i];
-    ++stats_.points_processed;
-    ++num_points_;
-    ++i;
-    if (BatchCacheRejects(p)) {
-      ++stats_.points_discarded;
-      ++stats_.batch_prefilter_rejections;
-      ++stats_.batch_scalar_rejections;
-      continue;
-    }
-    // Full per-point pipeline; identical to Insert().
-    if (InsertNonEmpty(p)) {
-      cache_valid = false;
-      cooldown = cooldown_after_accept;
-    }
-  }
+  prefilter_.Run(points.subspan(i), run_pt_, &num_points_, &stats_,
+                 [this](Point2 p) { return InsertNonEmpty(p); });
 }
 
 void AdaptiveHull::MergeFrom(const AdaptiveHull& other) {
@@ -1349,11 +1036,11 @@ std::vector<double> AdaptiveHull::SampleSlacks() const {
 
 double AdaptiveHull::ErrorBound() const {
   const double r = static_cast<double>(options_.r);
-  return 16.0 * kPi * p_used_ / (r * r);
+  return 16.0 * kPi * uniform_.p_used() / (r * r);
 }
 
 double AdaptiveHull::OffsetForLevel(uint32_t level) const {
-  return InvariantOffset(p_used_, options_.r, level);
+  return InvariantOffset(uniform_.p_used(), options_.r, level);
 }
 
 // Declared in core/snapshot.h (it is part of the wire-format contract: v1
@@ -1388,13 +1075,7 @@ Status AdaptiveHull::CheckConsistency() const {
     it = next;
   }
   if (it != SampleRef{}) return Fail("sample walk does not close");
-  if (uniform_runs_.empty()) return Fail("no uniform runs");
-  for (size_t i = 0; i < uniform_runs_.size(); ++i) {
-    if (uniform_runs_[i] >= r ||
-        (i > 0 && uniform_runs_[i - 1] >= uniform_runs_[i])) {
-      return Fail("uniform run starts not sorted directions");
-    }
-  }
+  STREAMHULL_RETURN_IF_ERROR(uniform_.CheckConsistency());
 
   // Vertex runs: keys CCW-sorted and active, values match the samples,
   // adjacent runs (circularly) distinct.
@@ -1435,16 +1116,6 @@ Status AdaptiveHull::CheckConsistency() const {
         }
       }
     }
-  }
-
-  // Perimeter bookkeeping.
-  {
-    const double recomputed = RecomputeUniformPerimeter();
-    if (std::abs(recomputed - p_raw_) >
-        1e-6 * std::max(1.0, std::abs(recomputed))) {
-      return Fail("incremental perimeter diverged from recomputation");
-    }
-    if (p_used_ + 1e-12 < p_raw_) return Fail("p_used below p_raw");
   }
 
   // Trees: structure, endpoint consistency, weights, direction census.

@@ -31,8 +31,9 @@
 //              a memmove of at most 2r+1 entries (DESIGN.md).
 //   nodes_     arena of refinement-tree nodes, one tree per uniform edge.
 //              A sample lives with its direction: a uniform direction's
-//              extremum in uniform_ext_, a refined one's in the internal
-//              node that bisects there (with its certified slack).
+//              extremum in the uniform layer (uniform_, shared with
+//              UniformHull), a refined one's in the internal node that
+//              bisects there (with its certified slack).
 //   queue_     monotone priority queue of unrefinement thresholds.
 //
 // All structural decisions use exact integer direction arithmetic
@@ -41,19 +42,19 @@
 #ifndef STREAMHULL_CORE_ADAPTIVE_HULL_H_
 #define STREAMHULL_CORE_ADAPTIVE_HULL_H_
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/status.h"
 #include "container/bucket_queue.h"
+#include "core/batch_prefilter.h"
 #include "core/hull_engine.h"
 #include "core/options.h"
+#include "core/uniform_hull.h"
 #include "geom/convex_polygon.h"
 #include "geom/direction.h"
 #include "geom/point.h"
-#include "geom/soa.h"
 
 namespace streamhull {
 
@@ -95,7 +96,8 @@ class AdaptiveHull : public HullEngine {
   /// coarse polygon — fall back to the scalar O(log r) wedge test, and
   /// only then to the full insert path. Both tiers discard only points
   /// provably unable to win any direction, so the summary is bit-identical
-  /// whichever tier fires (only the stats_ tier counters differ). See
+  /// whichever tier fires (only the stats_ tier counters differ). The
+  /// prefilter is core/batch_prefilter.h, shared with UniformHull; see
   /// DESIGN.md, "Batched ingestion" and "SIMD kernels".
   ///
   /// Calls Reserve() on entry; after the warm-up reservations, the batch
@@ -143,7 +145,7 @@ class AdaptiveHull : public HullEngine {
 
   /// \brief Perimeter of the uniformly sampled hull (running maximum; see
   /// DESIGN.md on the monotonicity guard). This is the P in all weights.
-  double perimeter() const { return p_used_; }
+  double perimeter() const { return uniform_.p_used(); }
 
   /// \brief The current approximate hull: distinct sample points in CCW
   /// order. The true hull of the entire stream contains this polygon and
@@ -176,7 +178,7 @@ class AdaptiveHull : public HullEngine {
   std::vector<double> SampleSlacks() const override;
 
   /// The effective perimeter P (same as perimeter()).
-  double EffectivePerimeter() const override { return p_used_; }
+  double EffectivePerimeter() const override { return uniform_.p_used(); }
 
   /// \brief Native change tracking for the v3 delta encoder (see
   /// HullEngine::ChangedDirectionsSinceBaseline). The insertion machinery
@@ -286,14 +288,6 @@ class AdaptiveHull : public HullEngine {
   // and num_points_ are already updated by the caller. Returns false when
   // the point won nothing (summary unchanged).
   bool InsertNonEmpty(Point2 p);
-  // Rebuilds the batch prefilter cache: the coordinate scale for error
-  // margins and the SoA mirror of run_pt_ (which is itself the polygon).
-  void RefreshBatchCache();
-  // True only when p is strictly inside the sampled polygon run_pt_ by a
-  // margin that dominates every floating-point predicate error, so the
-  // point provably cannot win any sample direction. False answers are
-  // allowed (the point just takes the full Insert path).
-  bool BatchCacheRejects(Point2 p) const;
 
   // --- Sample/vertex bookkeeping ---
   void InitializeWith(Point2 p);
@@ -302,8 +296,8 @@ class AdaptiveHull : public HullEngine {
   // ring.
   WonArc ComputeWinningSet(Point2 p);
   WonArc ComputeWinningSetBrute(Point2 p);
-  // Applies the win: sample points, vertex runs, uniform extrema and
-  // perimeter.
+  // Applies the win: sample points, vertex runs, and (through the uniform
+  // layer) uniform extrema and perimeter.
   void ApplyWin(Point2 p, const WonArc& won);
   // Run bookkeeping and counters for direction d, just activated by
   // refinement with point pt; next_dir is the active direction after it.
@@ -318,7 +312,7 @@ class AdaptiveHull : public HullEngine {
     return s.node < 0 ? Direction::Uniform(s.edge, options_.r) : N(s.node).mid;
   }
   Point2 PointOf(SampleRef s) const {
-    return s.node < 0 ? uniform_ext_[s.edge] : N(s.node).pm;
+    return s.node < 0 ? uniform_.extremum(s.edge) : N(s.node).pm;
   }
   SampleRef NextSample(SampleRef s) const;
   SampleRef PrevSample(SampleRef s) const;
@@ -366,10 +360,6 @@ class AdaptiveHull : public HullEngine {
   bool InCcwInterval(const Direction& x, const Direction& lo,
                      const Direction& hi) const;
 
-  // Uniform-extrema / perimeter maintenance.
-  void UpdateUniform(Point2 p, uint32_t j_first, uint32_t j_last);
-  double RecomputeUniformPerimeter() const;
-
   void CollectLeaves(int32_t idx, std::vector<int32_t>* out) const;
 
   // --- State ---
@@ -398,12 +388,9 @@ class AdaptiveHull : public HullEngine {
   std::vector<int32_t> free_nodes_;
   std::vector<int32_t> roots_;  // One per uniform edge.
 
-  std::vector<Point2> uniform_ext_;  // Sample point per uniform direction.
-  // Sorted run starts among the uniform directions; run j's point is
-  // uniform_ext_[j].
-  std::vector<uint32_t> uniform_runs_;
-  double p_raw_ = 0;   // Current uniformly-sampled-hull perimeter.
-  double p_used_ = 0;  // Running maximum (the P in all formulas).
+  // The uniform directions' extrema, their run starts and the perimeter
+  // P (the layer UniformHull shares).
+  UniformLayer uniform_;
 
   BucketThresholdQueue<QueueEntry> bucket_queue_;
   HeapThresholdQueue<QueueEntry> heap_queue_;
@@ -419,26 +406,7 @@ class AdaptiveHull : public HullEngine {
   std::vector<Direction> wire_dirty_;
   bool wire_dirty_all_ = true;
 
-  // Batch prefilter cache, valid only within InsertBatch between accepted
-  // points: the coordinate scale of run_pt_ for the error margins.
-  double batch_cache_scale_ = 0;
-  // Points per SIMD prefilter block (a multiple of every lane width).
-  static constexpr size_t kPrefilterBlock = 8;
-  // After an accepted point invalidates the cache, the next refresh waits
-  // for (vertex count / kBatchCooldownDivisor) offered points, which take
-  // the plain insert path meanwhile (DESIGN.md, "Cooldown").
-  static constexpr size_t kBatchCooldownDivisor = 8;
-  // Coarse sub-polygon of run_pt_ in SoA edge form for the lane
-  // kernel: every stride-th vertex so at most kBatchSoaMaxEdges edges are
-  // tested per point regardless of r. Rebuilt with the cache; capacity
-  // persists, so steady-state refreshes allocate nothing.
-  // 8 keeps the kernel at two 4-lane edge groups per point: a coarser
-  // sub-polygon certifies slightly fewer near-boundary interiors (they
-  // fall to the wedge tier, unchanged summary), but halves the edge-loop
-  // cost paid by every block the inscribed circle cannot dispose of.
-  static constexpr size_t kBatchSoaMaxEdges = 8;
-  PolygonEdgeSoA batch_soa_;
-  std::array<uint8_t, kPrefilterBlock> prefilter_mask_{};
+  BatchPrefilter prefilter_;
 
   // Insertion scratch buffers, reused across insertions so the per-point
   // hot path performs zero heap allocations once warmed up (Reserve()
@@ -446,82 +414,11 @@ class AdaptiveHull : public HullEngine {
   // it; none is part of the summary state.
   std::vector<SampleRef> brute_refs_;   // Brute path: CCW sample order.
   std::vector<char> brute_won_;         // Brute path: per-sample flag.
-  std::vector<Point2> uu_pts_scratch_;  // UpdateUniform: erased points.
+  std::vector<Point2> uu_pts_scratch_;  // UniformLayer::Update: erased points.
   std::vector<QueueEntry> ready_scratch_;      // PopBelow output.
   std::vector<QueueEntry> collapsed_scratch_;  // ProcessUnrefinements out.
 
   AdaptiveHullStats stats_;
-};
-
-/// \brief The uniformly sampled hull of §3 behind the fast searchable-list
-/// implementation: an AdaptiveHull with the refinement machinery disabled
-/// (tree height 0). Kept as a distinct type because it is the baseline the
-/// paper evaluates against.
-class UniformHull final : public HullEngine {
- public:
-  /// \param r number of sample directions (>= 8).
-  explicit UniformHull(uint32_t r) : hull_(MakeOptions(r)) {}
-
-  EngineKind kind() const override { return EngineKind::kUniform; }
-
-  /// Processes one stream point (see AdaptiveHull::Insert).
-  void Insert(Point2 p) override { hull_.Insert(p); }
-  /// Batched ingestion (AdaptiveHull's prefiltered fast path).
-  void InsertBatch(std::span<const Point2> points) override {
-    hull_.InsertBatch(points);
-  }
-  /// Pre-sizes the wrapped engine (see AdaptiveHull::Reserve).
-  void Reserve(size_t expected_points) override {
-    hull_.Reserve(expected_points);
-  }
-
-  uint64_t num_points() const override { return hull_.num_points(); }
-  uint32_t r() const override { return hull_.r(); }
-  double perimeter() const { return hull_.perimeter(); }
-  /// The approximate hull (distinct extrema, CCW).
-  ConvexPolygon Polygon() const override { return hull_.Polygon(); }
-  std::vector<HullSample> Samples() const override { return hull_.Samples(); }
-  std::vector<UncertaintyTriangle> Triangles() const override {
-    return hull_.Triangles();
-  }
-  /// All directions are uniform (true extrema), so the level-0 invariant
-  /// offset is 0 and the outer hull is the exact apex polygon.
-  ConvexPolygon OuterPolygon() const override { return hull_.OuterPolygon(); }
-  /// All-zero: every stored sample is a true stream extremum.
-  std::vector<double> SampleSlacks() const override {
-    return hull_.SampleSlacks();
-  }
-  /// The effective perimeter P (running max; see AdaptiveHull::perimeter).
-  double EffectivePerimeter() const override {
-    return hull_.EffectivePerimeter();
-  }
-  /// \brief A-posteriori bound: the maximum uncertainty-triangle height.
-  /// (The adaptive 16*pi*P/r^2 formula needs the weight invariant, which
-  /// uniform sampling does not maintain — its worst case is Theta(P/r).)
-  double ErrorBound() const override { return MaxTriangleHeight(Triangles()); }
-  const AdaptiveHullStats& stats() const override { return hull_.stats(); }
-  Status CheckConsistency() const override { return hull_.CheckConsistency(); }
-  /// Access to the underlying engine (test support).
-  const AdaptiveHull& engine() const { return hull_; }
-
- protected:
-  /// Forwards the wrapped engine's native change tracking (the wrapper's
-  /// own wire baseline drives the delta protocol; the inner hull only
-  /// supplies the touched-direction hint).
-  bool ChangedDirectionsSinceBaseline(
-      std::vector<Direction>* changed) const override {
-    return hull_.ChangedDirectionsSinceBaseline(changed);
-  }
-  void OnWireBaselineCaptured() override { hull_.OnWireBaselineCaptured(); }
-
- private:
-  static AdaptiveHullOptions MakeOptions(uint32_t r) {
-    AdaptiveHullOptions o;
-    o.r = r;
-    o.max_tree_height = 0;
-    return o;
-  }
-  AdaptiveHull hull_;
 };
 
 }  // namespace streamhull

@@ -10,12 +10,13 @@
 //
 // The interface has two ingestion entry points. Insert() is the per-point
 // path. InsertBatch() is the batched fast path: engines that can cheaply
-// prove a point irrelevant (AdaptiveHull's O(log r) inner-polygon rejection
-// test) amortize that proof over the whole batch. Both paths are required
-// to produce bit-identical summaries: InsertBatch over any partition of a
-// stream must leave the engine in exactly the state point-at-a-time
-// insertion would (the differential suite in tests/core_hull_engine_test.cc
-// enforces this for every kind). See DESIGN.md, "The HullEngine boundary".
+// prove a point irrelevant (the O(log r) inner-polygon rejection test of
+// core/batch_prefilter.h) amortize that proof over the whole batch. Both
+// paths are required to produce bit-identical summaries: InsertBatch over
+// any partition of a stream must leave the engine in exactly the state
+// point-at-a-time insertion would (the differential suite in
+// tests/core_hull_engine_test.cc enforces this for every kind). See
+// DESIGN.md, "The HullEngine boundary".
 
 #ifndef STREAMHULL_CORE_HULL_ENGINE_H_
 #define STREAMHULL_CORE_HULL_ENGINE_H_
@@ -289,8 +290,8 @@ class HullEngine {
 };
 
 /// \brief Options for MakeEngine. `hull` configures every kind (kUniform
-/// uses only hull.r; the refinement machinery is forced off). The remaining
-/// fields apply to individual kinds as documented.
+/// uses only hull.r: its flat engine has no refinement machinery). The
+/// remaining fields apply to individual kinds as documented.
 struct EngineOptions {
   AdaptiveHullOptions hull;
 

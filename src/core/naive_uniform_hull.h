@@ -3,9 +3,9 @@
 // This is the "straightforward implementation of the uniform sampling
 // strategy" of §3.1: keep one extremum per direction and compare every
 // arriving point against all r directions, O(r) time per point. It exists
-// as (a) the differential-testing oracle for the fast O(log r) structures,
-// and (b) the baseline whose per-point cost the time benchmarks contrast
-// with the paper's searchable-list approach.
+// as (a) the differential-testing oracle for UniformHull's O(log r) flat
+// engine (core/uniform_hull.h), and (b) the baseline whose per-point cost
+// the time benchmarks contrast with the paper's searchable-list approach.
 
 #ifndef STREAMHULL_CORE_NAIVE_UNIFORM_HULL_H_
 #define STREAMHULL_CORE_NAIVE_UNIFORM_HULL_H_

@@ -27,8 +27,9 @@ enum class SamplingMode {
 /// the conventional O(log n) heap, kept for the ablation benchmark.
 enum class ThresholdQueueKind { kBucket, kBinaryHeap };
 
-/// \brief Options for AdaptiveHull (and, with max_tree_height == 0, the
-/// uniformly sampled hull).
+/// \brief Options for AdaptiveHull. UniformHull (the uniformly sampled
+/// hull) reads only `r`. An AdaptiveHull with max_tree_height == 0 stores
+/// the same uniform summary; it is the flat engine's differential oracle.
 struct AdaptiveHullOptions {
   /// Number of base (uniform) sample directions. Must be >= 8 and <= 2^20.
   /// The summary stores at most 2r+1 sample points (Theorem 5.4).

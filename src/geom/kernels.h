@@ -1,7 +1,7 @@
 // streamhull: vectorized geometry kernels with runtime ISA dispatch.
 //
 // The hottest loop in the library, the batched-ingestion interior
-// prefilter (core/adaptive_hull.cc), is data-parallel over points. This
+// prefilter (core/batch_prefilter.h), is data-parallel over points. This
 // module provides it as a lane kernel over the SoA layout of geom/soa.h,
 // with three implementations selected once at runtime:
 //

@@ -34,7 +34,7 @@ inline constexpr size_t kSoaLaneWidth = 4;
 /// For each directed CCW edge a -> b the arrays hold the anchor a, the
 /// edge vector d = b - a, and the precomputed margin factor |dx| + |dy|
 /// (the \f$L_1\f$ norm converting Euclidean clearance into determinant
-/// units; see StrictlyLeftByMargin in core/adaptive_hull.cc). The arrays
+/// units; see StrictlyLeftByMargin in core/batch_prefilter.h). The arrays
 /// are padded to a multiple of kSoaLaneWidth by repeating edge 0 — a
 /// *real* edge, so padded lanes run a genuine test whose conjunction with
 /// the unpadded edges changes nothing.

@@ -181,6 +181,34 @@ TEST(HotPathAllocTest, AcceptedPointsViaInsertBatchAllocateNothing) {
   }
 }
 
+// The flat kUniform engine sizes every array from r in its constructor, so
+// a fresh engine allocates nothing while ingesting: not on its first
+// points, not per point, and not when InsertBatch starts the prefilter. No
+// Reserve() call precedes the first Insert.
+TEST(HotPathAllocTest, FreshUniformEngineAllocatesNothingWhileIngesting) {
+  constexpr size_t kHalf = 40000;
+  SpiralGenerator spiral(11);
+  const std::vector<Point2> points = spiral.Take(2 * kHalf);
+  const std::span<const Point2> all(points);
+  for (const uint32_t r : {16u, 64u, 1024u}) {
+    SCOPED_TRACE("r=" + std::to_string(r));
+    EngineOptions o;
+    o.hull.r = r;
+    auto engine = MakeEngine(EngineKind::kUniform, o);
+    const uint64_t pointwise = CountAllocations([&] {
+      for (const Point2& p : all.first(kHalf)) engine->Insert(p);
+    });
+    const uint64_t batched =
+        CountAllocations([&] { engine->InsertBatch(all.subspan(kHalf)); });
+    EXPECT_EQ(pointwise, 0u) << "one point at a time";
+    EXPECT_EQ(batched, 0u) << "through InsertBatch";
+    EXPECT_EQ(engine->num_points(), 2 * kHalf);
+    EXPECT_GT(engine->stats().vertices_deleted, 0u)
+        << "the stream must exercise the accept path";
+    EXPECT_TRUE(engine->CheckConsistency().ok());
+  }
+}
+
 TEST(HotPathAllocTest, ReserveIsIdempotentAndPreSizes) {
   AdaptiveHull hull(Opts(64));
   hull.Reserve(100000);

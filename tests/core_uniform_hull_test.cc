@@ -1,7 +1,6 @@
-// Tests for the uniformly sampled hull: the fast searchable-list
-// implementation (UniformHull == AdaptiveHull with tree height 0) checked
-// differentially against the O(r)-per-point NaiveUniformHull, plus the §3
-// error bound O(D/r).
+// Tests for the uniformly sampled hull: the flat O(log r) engine
+// (UniformHull, core/uniform_hull.h) checked differentially against the
+// O(r)-per-point NaiveUniformHull, plus the §3 error bound O(D/r).
 
 #include <cmath>
 #include <memory>
